@@ -478,9 +478,6 @@ let smallbank () =
 (*   dune exec bench/main.exe -- bench-baseline > bench/LEDGER.json    *)
 (* when a change is intentional (see EXPERIMENTS.md, "Statistical      *)
 (* methodology").                                                      *)
-(*                                                                     *)
-(* bench-pr4[-check], bench-pr8[-check] and bench-pr9[-check] are      *)
-(* deprecated aliases for bench-baseline / bench-check (see `help`).   *)
 (* ------------------------------------------------------------------ *)
 
 let gate_exp sys seed =
@@ -632,149 +629,6 @@ let bench_check path =
         path c.Obs.Ledger.c_drifts
         (if c.Obs.Ledger.c_seeds_match then "identical" else "disjoint")
 
-let deprecated old target =
-  Fmt.epr
-    "%s is deprecated: the per-PR baselines were unified into the run ledger \
-     (bench/LEDGER.json).  Running `%s` instead; see `help`.@."
-    old target
-
-(* ------------------------------------------------------------------ *)
-(* Engine counter overhead.                                            *)
-(*                                                                     *)
-(* The observatory counters cannot be compiled out, so the overhead is *)
-(* measured against a control that is structurally identical to        *)
-(* Sim.Engine — same event record shape (state machine, owner          *)
-(* back-pointer), same kind counters and observer check — with ONLY    *)
-(* the observatory increments removed (live/max_live on schedule,      *)
-(* pops/live on fire, ghost_drains on drain).  Allocation and GC       *)
-(* behaviour are therefore the same in both loops, and the delta is    *)
-(* exactly what the counter increments cost.                           *)
-(* ------------------------------------------------------------------ *)
-
-module Bare_engine = struct
-  type kind = Timer | Delivery | Ticker [@@warning "-37"]
-  type state = Live | Cancelled | Fired [@@warning "-37"]
-
-  type event = {
-    mutable state : state;
-    kind : kind;
-    action : unit -> unit;
-    owner : t;  (* same shape as Sim.Engine.event; never read here *)
-  }
-  [@@warning "-69"]
-
-  and t = {
-    q : event Sim.Heap.t;
-    mutable clock : int;
-    mutable seq : int;
-    mutable fired : int;
-    mutable fired_timer : int;
-    mutable fired_delivery : int;
-    mutable fired_ticker : int;
-    mutable observer : (ts:int -> kind -> unit) option;
-  }
-
-  let create () =
-    {
-      q = Sim.Heap.create ();
-      clock = 0;
-      seq = 0;
-      fired = 0;
-      fired_timer = 0;
-      fired_delivery = 0;
-      fired_ticker = 0;
-      observer = None;
-    }
-
-  let schedule t ~after f =
-    let e = { state = Live; kind = Timer; action = f; owner = t } in
-    Sim.Heap.push t.q ~time:(t.clock + max 0 after) ~seq:t.seq e;
-    t.seq <- t.seq + 1;
-    e
-
-  let run t =
-    let rec go () =
-      match Sim.Heap.pop t.q with
-      | None -> ()
-      | Some (time, _seq, e) ->
-        t.clock <- max t.clock time;
-        (match e.state with
-        | Live ->
-          e.state <- Fired;
-          t.fired <- t.fired + 1;
-          (match e.kind with
-          | Timer -> t.fired_timer <- t.fired_timer + 1
-          | Delivery -> t.fired_delivery <- t.fired_delivery + 1
-          | Ticker -> t.fired_ticker <- t.fired_ticker + 1);
-          (match t.observer with Some f -> f ~ts:t.clock e.kind | None -> ());
-          e.action ()
-        | Cancelled | Fired -> ());
-        go ()
-    in
-    go ()
-end
-
-let ols_estimate test =
-  let open Bechamel in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.5) ~kde:None () in
-  let results = Benchmark.all cfg [ instance ] test in
-  let ols =
-    Analyze.all
-      (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| "run" |])
-      instance results
-  in
-  Hashtbl.fold
-    (fun _ v acc ->
-      match Analyze.OLS.estimates v with Some [ est ] -> Some est | _ -> acc)
-    ols None
-
-(* The loops allocate one event record per scheduled event, so a single
-   estimate is dominated by whatever GC state it happens to run in.
-   Alternate the two tests, compact before each estimate, and keep the
-   per-test minimum: the best-case run is the one with the least GC
-   interference, which is where the counter delta is actually
-   visible. *)
-let min_estimate ~rounds test =
-  let best = ref infinity in
-  for _ = 1 to rounds do
-    Gc.compact ();
-    match ols_estimate test with
-    | Some e when e > 0. -> if e < !best then best := e
-    | _ -> ()
-  done;
-  if Float.is_finite !best then Some !best else None
-
-let engine_overhead () =
-  section "Engine observatory counter overhead (schedule+fire x1000)";
-  let open Bechamel in
-  let n = 1000 in
-  let bare =
-    Test.make ~name:"bare"
-      (Staged.stage (fun () ->
-           let e = Bare_engine.create () in
-           for i = 1 to n do
-             ignore (Bare_engine.schedule e ~after:i (fun () -> ()))
-           done;
-           Bare_engine.run e))
-  in
-  let real =
-    Test.make ~name:"engine"
-      (Staged.stage (fun () ->
-           let e = Sim.Engine.create () in
-           for i = 1 to n do
-             ignore (Sim.Engine.schedule e ~after:i (fun () -> ()))
-           done;
-           Sim.Engine.run e))
-  in
-  match (min_estimate ~rounds:5 bare, min_estimate ~rounds:5 real) with
-  | Some b, Some r when b > 0. ->
-    Fmt.pr "  pre-observatory loop %12.1f ns/run@." b;
-    Fmt.pr "  engine with counters %12.1f ns/run@." r;
-    Fmt.pr "  counter overhead     %11.2f%% (budget: < 2%%)@."
-      (100. *. (r -. b) /. b)
-  | _ -> Fmt.pr "  (no estimate)@."
-
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks for the core data structures.             *)
 (* ------------------------------------------------------------------ *)
@@ -869,7 +723,7 @@ let usage () =
     "usage: dune exec bench/main.exe [-- [FLAGS] TARGET ...]\n\n\
      targets:\n\
     \  table1 table2 table3 fig6 fig7 fig8 fig9 headline ablation\n\
-    \  ycsb smallbank failover micro engine-overhead all (default: all)\n\
+    \  ycsb smallbank failover micro all (default: all)\n\
     \  bench-baseline      print a multi-seed run ledger (commit as\n\
     \                      bench/LEDGER.json)\n\
     \  bench-check FILE    rebuild the ledger and statistically gate it\n\
@@ -880,12 +734,7 @@ let usage () =
     \  --seeds N              ledger seed-set size (default 5)\n\
     \  --seed-base N          first seed of the set (default 42; also the\n\
     \                         seed of every table/figure point)\n\
-    \  --engine-stats-out P   write the engine-performance JSON to P\n\n\
-     deprecated (one-PR grace aliases; will be removed):\n\
-    \  bench-pr4 | bench-pr8 | bench-pr9            -> bench-baseline\n\
-    \  bench-pr4-check P | bench-pr8-check P |\n\
-    \  bench-pr9-check P                            -> bench-check \
-     bench/LEDGER.json\n"
+    \  --engine-stats-out P   write the engine-performance JSON to P\n"
 
 (* Strip --jobs N / --jobs=N, --seeds N, --seed-base N and
    --engine-stats-out PATH from the argv target list, setting the
@@ -933,11 +782,6 @@ let () =
     | "bench-check" :: [] ->
       Fmt.epr "bench-check needs a baseline path (see `help`)@.";
       exit 2
-    | (("bench-pr4-check" | "bench-pr8-check" | "bench-pr9-check") as old)
-      :: _path :: rest ->
-      deprecated old "bench-check bench/LEDGER.json";
-      bench_check "bench/LEDGER.json";
-      go rest
     | t :: rest ->
       (match t with
       | "table1" -> table1 ()
@@ -953,11 +797,7 @@ let () =
       | "smallbank" -> smallbank ()
       | "failover" -> failover ()
       | "micro" -> micro ()
-      | "engine-overhead" -> engine_overhead ()
       | "bench-baseline" -> bench_baseline ()
-      | ("bench-pr4" | "bench-pr8" | "bench-pr9") as old ->
-        deprecated old "bench-baseline";
-        bench_baseline ()
       | "help" | "--help" | "-h" -> usage ()
       | "all" -> all ()
       | other ->

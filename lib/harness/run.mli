@@ -6,7 +6,11 @@
     MVTSO baseline run {e one} replica group whose replicas have
     [e_cores] worker cores; TAPIR and Spanner keep their single-threaded
     replication and instead get [e_cores] replica {e groups} (partitioned
-    data), each replica having one core. *)
+    data), each replica having one core.
+
+    One generic runner serves every system; a per-protocol stack adapter
+    supplies only what differs (cluster layout, config, client routing,
+    metrics row, kill guard and restart, recovery counters). *)
 
 type system =
   | Morty
@@ -176,9 +180,10 @@ val run_failover :
   recover_at_us:int ->
   bucket_us:int ->
   (int * int) list
-(** Availability timeline (extension): run the Morty/MVTSO cluster of
-    [exp], crash replica [victim] (default: the last replica) at
-    [crash_at_us] and un-crash it at [recover_at_us] (a transient
-    outage — state survives), and return committed-transaction counts
-    per [bucket_us] time bucket.  The fault is routed through the same
-    {!cluster_ops} surface the explorer uses. *)
+(** Availability timeline (extension): run [exp] on the system it
+    names, crash replica [victim] (default: the last replica, flattened
+    across groups) at [crash_at_us] and un-crash it at [recover_at_us]
+    (a transient outage — state survives), and return committed-
+    transaction counts per [bucket_us] time bucket, warm-up included.
+    A thin wrapper over {!run_exp}: the fault is routed through the
+    same {!cluster_ops} surface the explorer uses. *)

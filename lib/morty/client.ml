@@ -94,21 +94,7 @@ type stats = {
   mutable slow_commits : int;
 }
 
-type record = {
-  h_ver : Version.t;
-  h_committed : bool;
-  h_abort : Obs.Abort_reason.t option;
-  h_reads : (string * Version.t) list;
-  h_writes : string list;
-  h_start_us : int;
-  h_end_us : int;
-  h_reexecs : int;
-  h_exec_us : int;
-  h_prepare_us : int;
-  h_finalize_us : int;
-  h_ro : bool;
-  h_staleness_us : int;
-}
+type record = Cc_types.Txn_record.t
 
 type t = {
   cfg : Config.t;
@@ -325,7 +311,7 @@ let finish t txn outcome =
      | Some f ->
        f
          {
-           h_ver = txn.ver;
+           Cc_types.Txn_record.h_ver = txn.ver;
            h_committed = Outcome.is_committed outcome;
            h_abort = Outcome.reason outcome;
            h_reads =
@@ -334,7 +320,6 @@ let finish t txn outcome =
              List.map (fun (w : Rwset.write) -> w.key) (write_set_of txn);
            h_start_us = txn.t_start_us;
            h_end_us = Engine.now t.engine;
-           h_reexecs = txn.reexec_count;
            h_exec_us = txn.exec_us;
            h_prepare_us = txn.prep_us;
            h_finalize_us = txn.fin_us;

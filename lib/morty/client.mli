@@ -32,24 +32,8 @@ type stats = {
   mutable slow_commits : int;  (** decisions requiring Finalize *)
 }
 
-type record = {
-  h_ver : Cc_types.Version.t;
-  h_committed : bool;
-  h_abort : Obs.Abort_reason.t option;  (** classified cause on abort *)
-  h_reads : (string * Cc_types.Version.t) list;
-  h_writes : string list;
-  h_start_us : int;
-  h_end_us : int;
-  h_reexecs : int;
-  h_exec_us : int;  (** virtual time spent executing (incl. re-exec) *)
-  h_prepare_us : int;  (** virtual time spent in Prepare rounds *)
-  h_finalize_us : int;  (** virtual time spent in Finalize rounds *)
-  h_ro : bool;  (** ran on the follower-read (snapshot) path *)
-  h_staleness_us : int;
-      (** snapshot staleness at pin time (clock − watermark); [0] for
-          read-write transactions and unpinned aborts *)
-}
-(** Per-transaction history record, fed to the Adya oracle by tests. *)
+type record = Cc_types.Txn_record.t
+(** Per-transaction history record, handed to [on_finish]. *)
 
 val create :
   cfg:Config.t ->

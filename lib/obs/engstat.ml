@@ -10,7 +10,8 @@
      aliases diff it;
    - the {e host} section (wall nanoseconds, GC deltas, domain
      utilization) depends on the machine and the OS scheduler, so it is
-     only ever tolerance-checked (bench-pr8) or reported on stderr.
+     only ever tolerance-checked (the run ledger's host section) or
+     reported on stderr.
 
    Capturing a record costs two [Gc.quick_stat] calls and two clock
    reads per run — nothing on the simulation hot path. *)

@@ -11,8 +11,8 @@
     - {b deterministic} ({!det}): event counts by kind and timer-heap
       operation counters.  A pure function of the simulated schedule —
       byte-identical across hosts, runs and [--jobs] values.  The
-      [@engine-smoke] alias diffs this section and the bench-pr8 gate
-      checks it exactly.
+      [@engine-smoke] alias diffs this section and the run ledger's
+      deterministic section carries it.
     - {b host} ({!host}): wall nanoseconds (via {!Mclock}), GC deltas
       from [Gc.quick_stat], and per-domain pool utilization.  Machine-
       and load-dependent; tolerance-checked only, never diffed. *)

@@ -63,20 +63,7 @@ type stats = {
   mutable wounds_received : int;
 }
 
-type record = {
-  h_ver : Version.t;
-  h_committed : bool;
-  h_abort : Obs.Abort_reason.t option;
-  h_reads : (string * Version.t) list;
-  h_writes : string list;
-  h_start_us : int;
-  h_end_us : int;
-  h_exec_us : int;
-  h_prepare_us : int;
-  h_finalize_us : int;
-  h_ro : bool;
-  h_staleness_us : int;
-}
+type record = Cc_types.Txn_record.t
 
 type t = {
   cfg : Config.t;
@@ -232,7 +219,7 @@ let finish t txn ~ver outcome =
      | Some f ->
        f
          {
-           h_ver = ver;
+           Cc_types.Txn_record.h_ver = ver;
            h_committed = Outcome.is_committed outcome;
            h_abort = Outcome.reason outcome;
            h_reads = List.rev txn.reads;

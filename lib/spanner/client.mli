@@ -21,25 +21,8 @@ type stats = {
   mutable wounds_received : int;
 }
 
-type record = {
-  h_ver : Cc_types.Version.t;
-      (** committed read-write: the true commit version (install order);
-          read-only and aborted: a unique label [(begin_ts, -(node+1))]
-          in an id-space disjoint from commit versions *)
-  h_committed : bool;
-  h_abort : Obs.Abort_reason.t option;  (** classified cause on abort *)
-  h_reads : (string * Cc_types.Version.t) list;
-  h_writes : string list;
-  h_start_us : int;
-  h_end_us : int;
-  h_exec_us : int;
-  h_prepare_us : int;
-  h_finalize_us : int;  (** TrueTime commit-wait *)
-  h_ro : bool;  (** ran as a read-only snapshot transaction *)
-  h_staleness_us : int;
-      (** snapshot staleness at begin (clock − ro_ts); [0] unless
-          follower reads are enabled ([Config.max_staleness_us > 0]) *)
-}
+type record = Cc_types.Txn_record.t
+(** Per-transaction history record, handed to [on_finish]. *)
 
 val create :
   cfg:Config.t ->

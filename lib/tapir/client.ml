@@ -66,20 +66,7 @@ type stats = {
   mutable slow_commits : int;
 }
 
-type record = {
-  h_ver : Version.t;
-  h_committed : bool;
-  h_abort : Obs.Abort_reason.t option;
-  h_reads : (string * Version.t) list;
-  h_writes : string list;
-  h_start_us : int;
-  h_end_us : int;
-  h_exec_us : int;
-  h_prepare_us : int;
-  h_finalize_us : int;
-  h_ro : bool;
-  h_staleness_us : int;
-}
+type record = Cc_types.Txn_record.t
 
 type t = {
   cfg : Config.t;
@@ -224,7 +211,7 @@ let finish t txn outcome =
      | Some f ->
        f
          {
-           h_ver = txn.id;
+           Cc_types.Txn_record.h_ver = txn.id;
            h_committed = Outcome.is_committed outcome;
            h_abort = Outcome.reason outcome;
            h_reads = List.rev txn.reads;

@@ -145,12 +145,12 @@ let test_truncation_amnesia () =
   let on_finish (r : Morty.Client.record) =
     history :=
       {
-        Adya.History.ver = r.Morty.Client.h_ver;
-        reads = r.Morty.Client.h_reads;
-        writes = r.Morty.Client.h_writes;
-        committed = r.Morty.Client.h_committed;
-        start_us = r.Morty.Client.h_start_us;
-        commit_us = r.Morty.Client.h_end_us;
+        Adya.History.ver = r.h_ver;
+        reads = r.h_reads;
+        writes = r.h_writes;
+        committed = r.h_committed;
+        start_us = r.h_start_us;
+        commit_us = r.h_end_us;
       }
       :: !history
   in
@@ -230,29 +230,38 @@ let test_harness_counters_and_guard () =
     (rc.Harness.Stats.rc_catchup_wait_us > 0);
   Alcotest.(check bool) "made progress" true (r.Harness.Stats.r_committed > 0)
 
-(* run_failover takes an explicit victim and routes it through the
-   cluster_ops surface. *)
+(* run_failover takes an explicit victim, routes it through the
+   cluster_ops surface, and runs the system the experiment names: a
+   TAPIR or Spanner timeline must not silently measure Morty. *)
 let test_failover_victim () =
-  let e =
-    {
-      Harness.Run.default_exp with
-      e_clients = 4;
-      e_cores = 2;
-      e_warmup_us = 30_000;
-      e_measure_us = 120_000;
-      e_workload =
-        Harness.Run.Ycsb
-          { Workload.Ycsb.n_keys = 100; theta = 0.9; ops_per_txn = 2; read_pct = 50 };
-      e_seed = 5;
-    }
+  let timeline sys =
+    Harness.Run.run_failover ~victim:0
+      {
+        Harness.Run.default_exp with
+        e_system = sys;
+        e_clients = 4;
+        e_cores = 2;
+        e_warmup_us = 30_000;
+        e_measure_us = 120_000;
+        e_workload =
+          Harness.Run.Ycsb
+            { Workload.Ycsb.n_keys = 100; theta = 0.9; ops_per_txn = 2; read_pct = 50 };
+        e_seed = 5;
+      }
+      ~crash_at_us:50_000 ~recover_at_us:100_000 ~bucket_us:30_000
   in
-  let buckets =
-    Harness.Run.run_failover ~victim:0 e ~crash_at_us:50_000 ~recover_at_us:100_000
-      ~bucket_us:30_000
-  in
-  Alcotest.(check bool) "timeline produced" true (buckets <> []);
-  let total = List.fold_left (fun acc (_, n) -> acc + n) 0 buckets in
-  Alcotest.(check bool) "commits despite victim-0 outage" true (total > 0)
+  let morty = timeline Harness.Run.Morty in
+  List.iter
+    (fun sys ->
+      let name = Harness.Run.system_name sys in
+      let buckets = timeline sys in
+      Alcotest.(check int) (name ^ ": one bucket per 30 ms") 6 (List.length buckets);
+      let total = List.fold_left (fun acc (_, n) -> acc + n) 0 buckets in
+      Alcotest.(check bool) (name ^ ": commits despite victim-0 outage") true (total > 0);
+      if sys <> Harness.Run.Morty then
+        Alcotest.(check bool) (name ^ ": timeline is its own, not Morty's") true
+          (buckets <> morty))
+    Harness.Run.all_systems
 
 (* The recovery-view arithmetic (satellite of the amnesia issue): the
    stride must be derived from the replica count, so concurrent

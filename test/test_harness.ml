@@ -135,6 +135,124 @@ let test_morty_beats_mvtso_commit_rate_under_contention () =
   Alcotest.(check bool) "morty re-executes" true
     (m.Harness.Stats.r_reexecs_per_txn > 0.)
 
+(* Cross-revision oracle for the runner: every system x workload x
+   {fault-free, one kill/restart, follower reads} on a small config,
+   printed as the result's CSV row (all of it deterministic) plus
+   digests of the audited history and of the metrics samples, must
+   equal test/golden_runner.txt.  The golden file was generated before
+   the per-system runners were folded into one, so any behaviour change
+   in the runner shows up as a diff.  On mismatch the actual output is
+   written to golden_runner.actual next to the test binary. *)
+let golden_workloads =
+  [
+    ( "tpcc",
+      Harness.Run.Tpcc
+        {
+          Workload.Tpcc.n_warehouses = 2;
+          districts_per_warehouse = 2;
+          customers_per_district = 5;
+          n_items = 20;
+          initial_orders_per_district = 3;
+          max_items_per_order = 6;
+        } );
+    ("retwis", Harness.Run.Retwis { Workload.Retwis.n_keys = 500; theta = 0.9 });
+    ( "ycsb",
+      Harness.Run.Ycsb
+        { Workload.Ycsb.n_keys = 200; theta = 0.9; ops_per_txn = 4; read_pct = 50 }
+    );
+    ( "smallbank",
+      Harness.Run.Smallbank
+        { Workload.Smallbank.n_customers = 100; theta = 0.9; initial_balance = 1000 }
+    );
+  ]
+
+let kill_restart (ops : Harness.Run.cluster_ops) =
+  ignore (Sim.Engine.schedule_at ops.co_engine ~at:60_000 (fun () -> ops.co_kill 1));
+  ignore
+    (Sim.Engine.schedule_at ops.co_engine ~at:120_000 (fun () -> ops.co_restart 1))
+
+let golden_line sys (wname, workload) (vname, faults, staleness) =
+  let label =
+    Printf.sprintf "%s/%s/%s" (Harness.Run.system_name sys) wname vname
+  in
+  let e =
+    {
+      Harness.Run.default_exp with
+      e_system = sys;
+      e_workload = workload;
+      e_clients = 6;
+      e_cores = 2;
+      e_warmup_us = 30_000;
+      e_measure_us = 150_000;
+      e_seed = 7;
+      e_label = label;
+      e_max_staleness_us = staleness;
+    }
+  in
+  let obs = Obs.Sink.create ~seed:7 in
+  let lineage = Obs.Lineage.create ~label () in
+  let r, h = Harness.Run.run_exp_audited ?faults ~obs ~lineage e in
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (t : Adya.History.txn) ->
+      Printf.bprintf b "%s %b %d %d r" (Cc_types.Version.to_string t.ver)
+        t.committed t.start_us t.commit_us;
+      List.iter
+        (fun (k, v) -> Printf.bprintf b " %s@%s" k (Cc_types.Version.to_string v))
+        t.reads;
+      Printf.bprintf b " w %s\n" (String.concat " " t.writes))
+    h;
+  let hist = Digest.to_hex (Digest.string (Buffer.contents b)) in
+  Buffer.clear b;
+  List.iter
+    (fun (s : Obs.Sink.sample) ->
+      Printf.bprintf b "%d %s %h %d %d %d %d\n" s.sm_ts s.sm_replica s.sm_cpu_busy
+        s.sm_queue s.sm_records s.sm_versions s.sm_wmark_lag)
+    (Obs.Sink.samples obs);
+  let samples = Digest.to_hex (Digest.string (Buffer.contents b)) in
+  Printf.sprintf "%s hist=%s samples=%s" (Harness.Stats.to_csv_row r) hist samples
+
+let golden_lines () =
+  let variants =
+    [ ("plain", None, 0); ("kill", Some kill_restart, 0); ("stale", None, 50_000) ]
+  in
+  List.concat_map
+    (fun sys ->
+      List.concat_map
+        (fun w -> List.map (golden_line sys w) variants)
+        golden_workloads)
+    Harness.Run.[ Morty; Mvtso; Tapir; Tapir_nodist; Spanner ]
+
+let read_lines path =
+  let ic = open_in path in
+  let rec go acc =
+    match input_line ic with
+    | l -> go (l :: acc)
+    | exception End_of_file ->
+      close_in ic;
+      List.rev acc
+  in
+  go []
+
+let test_runner_golden () =
+  let actual = golden_lines () in
+  let expected = read_lines "golden_runner.txt" in
+  if actual <> expected then begin
+    let oc = open_out "golden_runner.actual" in
+    List.iter (fun l -> output_string oc (l ^ "\n")) actual;
+    close_out oc;
+    let rec first_diff i = function
+      | a :: xs, e :: ys ->
+        if a = e then first_diff (i + 1) (xs, ys)
+        else Alcotest.failf "golden line %d differs:\n  want %s\n  got  %s" i e a
+      | [], [] -> ()
+      | _ ->
+        Alcotest.failf "golden has %d lines, run produced %d"
+          (List.length expected) (List.length actual)
+    in
+    first_diff 1 (actual, expected)
+  end
+
 let suites =
   [
     ( "harness.stats",
@@ -154,5 +272,7 @@ let suites =
         Alcotest.test_case "find peak" `Slow test_find_peak;
         Alcotest.test_case "morty commit rate advantage" `Slow
           test_morty_beats_mvtso_commit_rate_under_contention;
+        Alcotest.test_case "runner golden (system x workload x fault)" `Slow
+          test_runner_golden;
       ] );
   ]

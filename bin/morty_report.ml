@@ -35,21 +35,16 @@ let fail_ledger path e =
 let load path =
   match Obs.Ledger.load path with Ok l -> l | Error e -> fail_ledger path e
 
-let host_tol =
-  match Sys.getenv_opt "MORTY_BENCH_EPS_TOL" with
-  | Some s -> ( try float_of_string s with Failure _ -> 0.25)
-  | None -> 0.25
-
 let compare_cmd base_path cur_path =
   let baseline = load base_path and current = load cur_path in
-  let c = Obs.Ledger.compare_ledgers ~host_tol ~baseline ~current () in
+  let c = Obs.Ledger.compare_ledgers ~baseline ~current () in
   Format.printf "%a" Obs.Ledger.pp_verdict_table c;
   if c.Obs.Ledger.c_regressions > 0 || not c.Obs.Ledger.c_config_match then
     exit 1
 
 let explain_cmd base_path cur_path sys metric =
   let baseline = load base_path and current = load cur_path in
-  let c = Obs.Ledger.compare_ledgers ~host_tol ~baseline ~current () in
+  let c = Obs.Ledger.compare_ledgers ~baseline ~current () in
   match Obs.Ledger.explain_metric c ~system:sys ~metric with
   | Some s -> print_string s
   | None ->

@@ -908,8 +908,9 @@ let create ~cfg ~engine ~net ~rng ~region ~replicas ?(obs = Obs.Sink.null ())
       on_finish;
     }
   in
+  (* Provenance feeds only the profiler: skip it when none is attached. *)
   Net.set_handler net node (fun ~src msg ->
-      profile_arrival t;
+      if Obs.Profile.enabled t.prof then profile_arrival t;
       handle t ~src msg);
   t
 

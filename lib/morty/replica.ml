@@ -1354,25 +1354,29 @@ let create_at ~node ~cfg ~engine ~net ~rng ~index ~cores
     }
   in
   Net.set_handler net node (fun ~src msg ->
-      (* Provenance: capture the inbound transit here (delivery info is
-         only valid inside the net handler), then stamp replies sent by
-         the CPU job with transit + measured queueing + service so the
-         client can decompose its wait. *)
-      let transit_us =
-        match Net.current_delivery net with
-        | Some d -> d.Net.di_recv_us - d.Net.di_send_us
-        | None -> 0
-      in
       let cost = service_cost t msg in
-      Cpu.submit t.cpu ~cost
-        ~prov:(fun ~queue_us ~start_us:_ ~end_us:_ ->
-          let ver, eid = busy_owner msg in
-          Obs.Profile.note_busy t.prof ~kind:(Msg.label msg) ~ver ~eid
-            ~cost_us:cost;
-          Net.set_send_path net ~transit_us ~queue_us ~service_us:cost)
-        (fun () ->
-          handle t ~src msg;
-          Net.clear_send_path net));
+      if not (Obs.Profile.enabled t.prof) then
+        Cpu.submit t.cpu ~cost (fun () -> handle t ~src msg)
+      else begin
+        (* Provenance: capture the inbound transit here (delivery info is
+           only valid inside the net handler), then stamp replies sent by
+           the CPU job with transit + measured queueing + service so the
+           client can decompose its wait. *)
+        let transit_us =
+          match Net.current_delivery net with
+          | Some d -> d.Net.di_recv_us - d.Net.di_send_us
+          | None -> 0
+        in
+        Cpu.submit t.cpu ~cost
+          ~prov:(fun ~queue_us ~start_us:_ ~end_us:_ ->
+            let ver, eid = busy_owner msg in
+            Obs.Profile.note_busy t.prof ~kind:(Msg.label msg) ~ver ~eid
+              ~cost_us:cost;
+            Net.set_send_path net ~transit_us ~queue_us ~service_us:cost)
+          (fun () ->
+            handle t ~src msg;
+            Net.clear_send_path net)
+      end);
   schedule_truncation t;
   t
 

@@ -407,10 +407,6 @@ type comparison = {
   c_alpha_effective : float;
 }
 
-(* The only host metric that is gated at all; wall-clock and GC fields
-   are committed for trend reading, never compared. *)
-let gated_host_metrics = [ "events_per_s" ]
-
 let rel_delta ~base ~cur =
   let denom = Float.max (Float.abs base) (Float.max (Float.abs cur) 1e-12) in
   (cur -. base) /. denom
@@ -421,8 +417,8 @@ let arrays_equal a b =
       Array.iteri (fun i x -> if x <> b.(i) then ok := false) a;
       !ok)
 
-let compare_ledgers ?(alpha = 0.05) ?(regress_floor = 0.03) ?(host_tol = 0.25)
-    ?(ci_level = 0.95) ?(resamples = 1000) ~baseline ~current () =
+let compare_ledgers ?(alpha = 0.05) ?(regress_floor = 0.03) ?(ci_level = 0.95)
+    ?(resamples = 1000) ~baseline ~current () =
   let find_entry l sys point =
     List.find_opt
       (fun e -> e.en_system = sys && e.en_point = point)
@@ -435,18 +431,9 @@ let compare_ledgers ?(alpha = 0.05) ?(regress_floor = 0.03) ?(host_tol = 0.25)
         match find_entry current be.en_system be.en_point with
         | None -> acc
         | Some ce ->
-          let both sec sel =
-            List.length
-              (List.filter (fun (m, _) -> List.mem_assoc m (sel ce)) (sec be))
-          in
           acc
-          + both (fun e -> e.en_det) (fun e -> e.en_det)
           + List.length
-              (List.filter
-                 (fun (m, _) ->
-                   List.mem m gated_host_metrics
-                   && List.mem_assoc m ce.en_host)
-                 be.en_host))
+              (List.filter (fun (m, _) -> List.mem_assoc m ce.en_det) be.en_det))
       0 baseline.entries
   in
   let alpha_eff = alpha /. float_of_int (max 1 gated_count) in
@@ -457,7 +444,6 @@ let compare_ledgers ?(alpha = 0.05) ?(regress_floor = 0.03) ?(host_tol = 0.25)
     let cur_ci = Bstats.bootstrap_ci ~resamples ~level:ci_level ~seed cur in
     let t = Bstats.mann_whitney base cur in
     let rd = rel_delta ~base:sb.Bstats.mean ~cur:sc.Bstats.mean in
-    let gated_host = List.mem metric gated_host_metrics in
     (* Significance has two routes.  The Bonferroni-corrected U test is
        the principled one, but at ledger seed-set sizes it saturates:
        with ~100 gated metrics and 5 seeds a side the smallest
@@ -472,20 +458,8 @@ let compare_ledgers ?(alpha = 0.05) ?(regress_floor = 0.03) ?(host_tol = 0.25)
     in
     let significant = t.Bstats.p <= alpha_eff || separated in
     let verdict, note =
-      if host && not gated_host then (Info, "informational (host)")
+      if host then (Info, "informational (host)")
       else if arrays_equal base cur then (Pass, "identical samples")
-      else if host (* events_per_s: statistical, generous tolerance *) then begin
-        let shift =
-          rel_delta ~base:(Bstats.median base) ~cur:(Bstats.median cur)
-        in
-        if not significant then (Pass, "not significant")
-        else if Float.abs shift <= host_tol then
-          (Drift, Printf.sprintf "median shift %.0f%% within ±%.0f%%"
-             (100. *. Float.abs shift) (100. *. host_tol))
-        else
-          (Regress, Printf.sprintf "median shift %.0f%% beyond ±%.0f%%"
-             (100. *. Float.abs shift) (100. *. host_tol))
-      end
       else if not significant then (Pass, "not significant")
       else begin
         let (blo, bhi) = base_ci and (clo, chi) = cur_ci in

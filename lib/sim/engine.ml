@@ -72,8 +72,9 @@ let set_observer t f = t.observer <- Some f
 
 let now t = t.clock
 
-let schedule_at t ?(kind = Timer) ~at f =
-  let at = max at t.clock in
+(* [schedule] and [schedule_at] share this rather than one calling the
+   other, which would box the forwarded [?kind] on every call. *)
+let enqueue t kind ~at f =
   let e = { state = Live; kind; action = f; owner = t } in
   Heap.push t.queue ~time:at ~seq:t.seq e;
   t.seq <- t.seq + 1;
@@ -81,8 +82,10 @@ let schedule_at t ?(kind = Timer) ~at f =
   if t.live > t.max_live then t.max_live <- t.live;
   e
 
+let schedule_at t ?(kind = Timer) ~at f = enqueue t kind ~at:(Int.max at t.clock) f
+
 let schedule t ?(kind = Timer) ~after f =
-  schedule_at t ~kind ~at:(t.clock + max 0 after) f
+  enqueue t kind ~at:(t.clock + Int.max 0 after) f
 
 let cancel e =
   match e.state with
@@ -96,28 +99,35 @@ let pending t = t.live
 
 let raw_pending t = Heap.length t.queue
 
+(* Fire (or drain, if cancelled) the minimum entry, keyed at [time].
+   [Heap.min_time] and [Heap.remove_min] allocate nothing, so neither
+   does dispatch itself. *)
+let fire t time =
+  let e = Heap.remove_min t.queue in
+  t.clock <- Int.max t.clock time;
+  t.pops <- t.pops + 1;
+  match e.state with
+  | Live ->
+    e.state <- Fired;
+    t.live <- t.live - 1;
+    t.fired <- t.fired + 1;
+    (match e.kind with
+    | Timer -> t.fired_timer <- t.fired_timer + 1
+    | Delivery -> t.fired_delivery <- t.fired_delivery + 1
+    | Ticker -> t.fired_ticker <- t.fired_ticker + 1);
+    (match t.observer with
+    | Some f -> f ~ts:t.clock e.kind
+    | None -> ());
+    e.action ()
+  | Cancelled -> t.ghost_drains <- t.ghost_drains + 1
+  | Fired -> assert false
+
 let step t =
-  match Heap.pop t.queue with
-  | None -> false
-  | Some (time, _seq, e) ->
-    t.clock <- max t.clock time;
-    t.pops <- t.pops + 1;
-    (match e.state with
-    | Live ->
-      e.state <- Fired;
-      t.live <- t.live - 1;
-      t.fired <- t.fired + 1;
-      (match e.kind with
-      | Timer -> t.fired_timer <- t.fired_timer + 1
-      | Delivery -> t.fired_delivery <- t.fired_delivery + 1
-      | Ticker -> t.fired_ticker <- t.fired_ticker + 1);
-      (match t.observer with
-      | Some f -> f ~ts:t.clock e.kind
-      | None -> ());
-      e.action ()
-    | Cancelled -> t.ghost_drains <- t.ghost_drains + 1
-    | Fired -> assert false);
+  if Heap.is_empty t.queue then false
+  else begin
+    fire t (Heap.min_time t.queue);
     true
+  end
 
 let run t =
   while step t do
@@ -125,13 +135,11 @@ let run t =
   done
 
 let run_until t ~limit =
-  let continue = ref true in
-  while !continue do
-    match Heap.peek_time t.queue with
-    | Some time when time <= limit -> ignore (step t)
-    | Some _ | None -> continue := false
+  let q = t.queue in
+  while (not (Heap.is_empty q)) && Heap.min_time q <= limit do
+    fire t (Heap.min_time q)
   done;
-  t.clock <- max t.clock limit
+  t.clock <- Int.max t.clock limit
 
 let events_fired t = t.fired
 

@@ -45,7 +45,9 @@ val raw_pending : t -> int
     [raw_pending t - pending t] is the current ghost count. *)
 
 val step : t -> bool
-(** Fire the next event.  Returns [false] if the queue was empty. *)
+(** Fire the next event.  Returns [false] if the queue was empty.
+    Dispatch itself allocates nothing; {!schedule} allocates only the
+    event record. *)
 
 val run : t -> unit
 (** Fire events until the queue drains. *)

@@ -3,7 +3,12 @@
     Every experiment in this repository is seeded, so identical
     configurations reproduce identical histories, event interleavings and
     measurements.  SplitMix64 passes BigCrush, is trivially splittable, and
-    needs only 64 bits of state. *)
+    needs only 64 bits of state.
+
+    The state is an unboxed 8-byte buffer, so a draw allocates nothing:
+    {!int}, {!bool} and {!shuffle} are allocation-free, and {!int64} and
+    {!float} allocate only their boxed result (nothing where the call is
+    inlined).  {!create} and {!split} allocate the new state. *)
 
 type t
 (** Mutable generator state. *)

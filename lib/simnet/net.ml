@@ -17,8 +17,9 @@ type 'm node_state = {
   mutable handler : (src:node -> 'm -> unit) option;
   mutable crashed : bool;
   (* Earliest time the next message on each inbound channel may be
-     delivered, keyed by sender: enforces per-pair FIFO. *)
-  last_delivery : (node, int) Hashtbl.t;
+     delivered, indexed by sender (0 = no message yet): enforces per-pair
+     FIFO.  Grown on demand when a sender beyond its length appears. *)
+  mutable last_delivery : int array;
 }
 
 type 'm t = {
@@ -48,10 +49,14 @@ type 'm t = {
   link_loss : (node * node, float) Hashtbl.t;
   mutable extra_delay_us : int;
   (* Provenance plumbing: [send_path] is the sticky sender-side context
-     captured by each [send]; [current] is set for the duration of a
-     delivery handler invocation. *)
+     captured by each [send]; the [cur_*] fields describe the delivery
+     whose handler is running ([in_delivery]), and [current_delivery]
+     packs them only when asked. *)
   mutable send_path : path;
-  mutable current : delivery_info option;
+  mutable in_delivery : bool;
+  mutable cur_send_us : int;
+  mutable cur_recv_us : int;
+  mutable cur_path : path;
   (* Read-only tap on message traffic (the flight recorder).  Observers
      see sends (including drops) and handler deliveries; they draw no
      randomness and cannot touch the message, so attaching one leaves
@@ -72,15 +77,14 @@ let create engine rng ~setup ?(base_delay_us = 60) ?(jitter_us = 20) () =
     sent = 0; delivered = 0; dropped = 0; cut_links = Hashtbl.create 16;
     named_cuts = Hashtbl.create 4;
     loss_rate = 0.; link_loss = Hashtbl.create 16; extra_delay_us = 0;
-    send_path = no_path; current = None; observer = None }
+    send_path = no_path; in_delivery = false; cur_send_us = 0; cur_recv_us = 0;
+    cur_path = no_path; observer = None }
 
 let set_observer t f = t.observer <- Some f
 
-let notify t ev = match t.observer with None -> () | Some f -> f ev
-
 let add_node t ~region =
   let state =
-    { region; handler = None; crashed = false; last_delivery = Hashtbl.create 8 }
+    { region; handler = None; crashed = false; last_delivery = Array.make t.n 0 }
   in
   if t.n = Array.length t.nodes then begin
     let cap = max 16 (2 * t.n) in
@@ -105,24 +109,42 @@ let node_count t = t.n
 (* Loss probability for one message on [src -> dst]: the per-link
    setting wins over the global rate.  Only draws from the RNG when a
    non-zero probability is configured, so fault-free runs keep the exact
-   event streams they had before loss injection existed. *)
+   event streams they had before loss injection existed.  The per-link
+   table is consulted only when it holds an entry: the lookup hashes an
+   allocated pair. *)
 let lost t ~src ~dst =
   let p =
-    match Hashtbl.find_opt t.link_loss (src, dst) with
-    | Some p -> p
-    | None -> t.loss_rate
+    if Hashtbl.length t.link_loss = 0 then t.loss_rate
+    else
+      match Hashtbl.find_opt t.link_loss (src, dst) with
+      | Some p -> p
+      | None -> t.loss_rate
   in
   p > 0. && Sim.Rng.float t.rng 1.0 < p
+
+let is_cut t ~src ~dst =
+  Hashtbl.length t.cut_links > 0 && Hashtbl.mem t.cut_links (src, dst)
+
+(* [d]'s per-sender FIFO clocks, grown to cover [src] if needed. *)
+let fifo_slot d src =
+  let len = Array.length d.last_delivery in
+  if src >= len then begin
+    let a = Array.make (Int.max (src + 1) (2 * len)) 0 in
+    Array.blit d.last_delivery 0 a 0 len;
+    d.last_delivery <- a
+  end;
+  d.last_delivery
 
 let send t ~src ~dst msg =
   let s = check t src and d = check t dst in
   t.sent <- t.sent + 1;
-  if s.crashed || d.crashed || Hashtbl.mem t.cut_links (src, dst)
-     || lost t ~src ~dst then begin
+  if s.crashed || d.crashed || is_cut t ~src ~dst || lost t ~src ~dst then begin
     t.dropped <- t.dropped + 1;
-    notify t
-      (Sent { ne_ts = Sim.Engine.now t.engine; ne_src = src; ne_dst = dst;
-              ne_msg = msg; ne_dropped = true })
+    match t.observer with
+    | None -> ()
+    | Some f ->
+      f (Sent { ne_ts = Sim.Engine.now t.engine; ne_src = src; ne_dst = dst;
+                ne_msg = msg; ne_dropped = true })
   end
   else begin
     let jitter = if t.jitter_us = 0 then 0 else Sim.Rng.int t.rng (t.jitter_us + 1) in
@@ -133,15 +155,15 @@ let send t ~src ~dst msg =
       Latency.one_way_us t.setup s.region d.region + t.base_delay_us + jitter + extra
     in
     let now = Sim.Engine.now t.engine in
-    let earliest =
-      match Hashtbl.find_opt d.last_delivery src with None -> 0 | Some v -> v
-    in
-    let at = max (now + delay) earliest in
-    Hashtbl.replace d.last_delivery src at;
+    let fifo = fifo_slot d src in
+    let at = Int.max (now + delay) fifo.(src) in
+    fifo.(src) <- at;
     let path = t.send_path in
-    notify t
-      (Sent { ne_ts = now; ne_src = src; ne_dst = dst; ne_msg = msg;
-              ne_dropped = false });
+    (match t.observer with
+    | None -> ()
+    | Some f ->
+      f (Sent { ne_ts = now; ne_src = src; ne_dst = dst; ne_msg = msg;
+                ne_dropped = false }));
     ignore
       (Sim.Engine.schedule_at t.engine ~kind:Sim.Engine.Delivery ~at (fun () ->
            if d.crashed then t.dropped <- t.dropped + 1
@@ -150,13 +172,17 @@ let send t ~src ~dst msg =
              | None -> t.dropped <- t.dropped + 1
              | Some h ->
                t.delivered <- t.delivered + 1;
-               notify t
-                 (Delivered { ne_ts = at; ne_src = src; ne_dst = dst;
-                              ne_msg = msg; ne_send_us = now });
-               t.current <-
-                 Some { di_send_us = now; di_recv_us = at; di_path = path };
+               (match t.observer with
+               | None -> ()
+               | Some f ->
+                 f (Delivered { ne_ts = at; ne_src = src; ne_dst = dst;
+                                ne_msg = msg; ne_send_us = now }));
+               t.in_delivery <- true;
+               t.cur_send_us <- now;
+               t.cur_recv_us <- at;
+               t.cur_path <- path;
                h ~src msg;
-               t.current <- None))
+               t.in_delivery <- false))
   end
 
 let set_send_path t ~transit_us ~queue_us ~service_us =
@@ -165,7 +191,10 @@ let set_send_path t ~transit_us ~queue_us ~service_us =
 
 let clear_send_path t = t.send_path <- no_path
 
-let current_delivery t = t.current
+let current_delivery t =
+  if t.in_delivery then
+    Some { di_send_us = t.cur_send_us; di_recv_us = t.cur_recv_us; di_path = t.cur_path }
+  else None
 
 let crash t node = (check t node).crashed <- true
 let recover t node = (check t node).crashed <- false

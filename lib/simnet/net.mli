@@ -4,7 +4,14 @@
     FIFO per sender–receiver pair.  Delivery delay is the one-way latency
     between the two nodes' regions ({!Latency}) plus a small deterministic
     jitter; same-region messages still pay a base propagation cost.
-    Crashed nodes silently drop inbound and outbound messages. *)
+    Crashed nodes silently drop inbound and outbound messages.
+
+    Allocation: with no observer attached and no fault configured, a
+    {!send} plus its delivery allocates only the engine event and the
+    delivery closure.  Per-pair FIFO clocks are an [int array] per
+    receiver (grown when a new sender appears); the link-cut and
+    per-link loss tables are looked up only while they hold entries;
+    observer events are built only when an observer is attached. *)
 
 type 'm t
 (** A network carrying messages of type ['m]. *)
@@ -31,7 +38,9 @@ val node_count : 'm t -> int
 
 val send : 'm t -> src:node -> dst:node -> 'm -> unit
 (** Enqueue delivery of a message.  No-op if either endpoint is crashed.
-    Local sends ([src = dst]) still pay [base_delay_us]. *)
+    Local sends ([src = dst]) still pay [base_delay_us].  Draws from the
+    network's RNG only for jitter, extra delay and loss, without
+    allocating. *)
 
 (** {2 Message provenance (critical-path profiler)}
 
@@ -40,7 +49,11 @@ val send : 'm t -> src:node -> dst:node -> 'm -> unit
     message's causal chain accumulated upstream, as declared by the
     sender via {!set_send_path}.  Everything here is observational: no
     randomness is drawn and no scheduling changes, so instrumented and
-    uninstrumented runs are bit-identical. *)
+    uninstrumented runs are bit-identical.
+
+    The profiler is the only reader, so the replicas and clients stamp
+    and read provenance only when their [Obs.Profile.t] is enabled;
+    otherwise every delivery carries {!no_path}. *)
 
 type path = { p_transit_us : int; p_queue_us : int; p_service_us : int }
 
@@ -53,14 +66,17 @@ val set_send_path :
 (** Declare the upstream path cost attached to every subsequent {!send}
     until {!clear_send_path}.  Instrumented replica service wrappers set
     this around message handling so replies carry their request's
-    transit plus the handler's queueing and service time. *)
+    transit plus the handler's queueing and service time.  Allocates the
+    path record; callers do so only under an enabled profiler. *)
 
 val clear_send_path : 'm t -> unit
 
 val current_delivery : 'm t -> delivery_info option
 (** The delivery being handled right now — valid only during a handler
     invocation ([None] otherwise, e.g. inside timer callbacks or CPU
-    jobs that run after the handler returned). *)
+    jobs that run after the handler returned).  The delivery context is
+    kept in plain fields; the result is built (allocated) only by this
+    call, which callers make only under an enabled profiler. *)
 
 (** {2 Traffic observer (flight recorder)}
 

@@ -460,20 +460,24 @@ let create_at ~node ~cfg ~engine ~net ~group ~index ~cores
     tick ()
   end;
   Net.set_handler net node (fun ~src msg ->
-      let transit_us =
-        match Net.current_delivery net with
-        | Some d -> d.Net.di_recv_us - d.Net.di_send_us
-        | None -> 0
-      in
       let cost = service_cost t msg in
-      Cpu.submit t.cpu ~cost
-        ~prov:(fun ~queue_us ~start_us:_ ~end_us:_ ->
-          Obs.Profile.note_busy t.prof ~kind:(Msg.label msg)
-            ~ver:(busy_owner msg) ~eid:0 ~cost_us:cost;
-          Net.set_send_path net ~transit_us ~queue_us ~service_us:cost)
-        (fun () ->
-          handle t ~src msg;
-          Net.clear_send_path net));
+      if not (Obs.Profile.enabled t.prof) then
+        Cpu.submit t.cpu ~cost (fun () -> handle t ~src msg)
+      else begin
+        let transit_us =
+          match Net.current_delivery net with
+          | Some d -> d.Net.di_recv_us - d.Net.di_send_us
+          | None -> 0
+        in
+        Cpu.submit t.cpu ~cost
+          ~prov:(fun ~queue_us ~start_us:_ ~end_us:_ ->
+            Obs.Profile.note_busy t.prof ~kind:(Msg.label msg)
+              ~ver:(busy_owner msg) ~eid:0 ~cost_us:cost;
+            Net.set_send_path net ~transit_us ~queue_us ~service_us:cost)
+          (fun () ->
+            handle t ~src msg;
+            Net.clear_send_path net)
+      end);
   t
 
 let create ~cfg ~engine ~net ~group ~index ~region ~cores ?prof ?mon ?lineage () =

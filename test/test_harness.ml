@@ -171,6 +171,21 @@ let kill_restart (ops : Harness.Run.cluster_ops) =
   ignore
     (Sim.Engine.schedule_at ops.co_engine ~at:120_000 (fun () -> ops.co_restart 1))
 
+(* Digest of an audited history: every transaction's version, outcome,
+   timestamps, reads and writes. *)
+let history_digest h =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (t : Adya.History.txn) ->
+      Printf.bprintf b "%s %b %d %d r" (Cc_types.Version.to_string t.ver)
+        t.committed t.start_us t.commit_us;
+      List.iter
+        (fun (k, v) -> Printf.bprintf b " %s@%s" k (Cc_types.Version.to_string v))
+        t.reads;
+      Printf.bprintf b " w %s\n" (String.concat " " t.writes))
+    h;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
 let golden_line sys (wname, workload) (vname, faults, staleness) =
   let label =
     Printf.sprintf "%s/%s/%s" (Harness.Run.system_name sys) wname vname
@@ -192,18 +207,8 @@ let golden_line sys (wname, workload) (vname, faults, staleness) =
   let obs = Obs.Sink.create ~seed:7 in
   let lineage = Obs.Lineage.create ~label () in
   let r, h = Harness.Run.run_exp_audited ?faults ~obs ~lineage e in
+  let hist = history_digest h in
   let b = Buffer.create 4096 in
-  List.iter
-    (fun (t : Adya.History.txn) ->
-      Printf.bprintf b "%s %b %d %d r" (Cc_types.Version.to_string t.ver)
-        t.committed t.start_us t.commit_us;
-      List.iter
-        (fun (k, v) -> Printf.bprintf b " %s@%s" k (Cc_types.Version.to_string v))
-        t.reads;
-      Printf.bprintf b " w %s\n" (String.concat " " t.writes))
-    h;
-  let hist = Digest.to_hex (Digest.string (Buffer.contents b)) in
-  Buffer.clear b;
   List.iter
     (fun (s : Obs.Sink.sample) ->
       Printf.bprintf b "%d %s %h %d %d %d %d\n" s.sm_ts s.sm_replica s.sm_cpu_busy

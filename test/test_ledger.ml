@@ -187,8 +187,8 @@ let test_missing_and_new_metrics () =
   Alcotest.(check int) "missing is not fatal" 0 c.Obs.Ledger.c_regressions
 
 let test_host_gating () =
-  (* wall_s never gates; events_per_s gates only beyond the tolerance
-     AND with significance. *)
+  (* No host metric gates: wall_s and events_per_s are informational
+     however far they move. *)
   let eps = [| 1e6; 1.02e6; 0.98e6; 1.01e6; 0.99e6 |] in
   let walls = [| 0.1; 0.2; 0.3; 0.4; 0.5 |] in
   let mk scale_eps scale_wall =
@@ -208,16 +208,12 @@ let test_host_gating () =
   Alcotest.(check string) "wall_s info" "info"
     (Obs.Ledger.verdict_to_string (find c "morty" "wall_s").Obs.Ledger.v_verdict);
   Alcotest.(check int) "wall never regresses" 0 c.Obs.Ledger.c_regressions;
-  (* events/sec halves: separated, beyond the 25% tolerance — REGRESS. *)
+  (* events/sec halves: fully separated, yet informational. *)
   let c = Obs.Ledger.compare_ledgers ~baseline:(mk 1. 1.) ~current:(mk 0.5 1.) () in
-  Alcotest.(check string) "eps regresses" "REGRESS"
+  Alcotest.(check string) "eps info" "info"
     (Obs.Ledger.verdict_to_string
        (find c "morty" "events_per_s").Obs.Ledger.v_verdict);
-  (* events/sec -10%: separated but within tolerance — DRIFT. *)
-  let c = Obs.Ledger.compare_ledgers ~baseline:(mk 1. 1.) ~current:(mk 0.9 1.) () in
-  Alcotest.(check string) "eps drifts within tol" "DRIFT"
-    (Obs.Ledger.verdict_to_string
-       (find c "morty" "events_per_s").Obs.Ledger.v_verdict)
+  Alcotest.(check int) "eps never regresses" 0 c.Obs.Ledger.c_regressions
 
 let test_config_mismatch_detected () =
   let a = mk_ledger ~config:"cfg A" [ mk_entry "s" [ ("m", [| 1. |]) ] ] in

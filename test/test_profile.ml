@@ -271,6 +271,78 @@ let test_shape_spanner_idle () =
     (Printf.sprintf "spanner idle (backoff+proto) dominates (%.3f > 0.5)" f)
     true (f > 0.5)
 
+(* Cross-revision oracle for the profiler's inputs: the profile of
+   `morty_bench -s SYS -w ycsb --keys 200 --theta 1.1 -c 16 --cores 2
+   --warmup-ms 20 --duration-ms 300 --seed 21 --profile-out F` for each
+   system, concatenated, must equal test/golden_profile.txt.  The golden
+   file was recorded before provenance was gated on an enabled profiler,
+   so any change in what the profiler sees shows up as a diff.  On
+   mismatch the actual output is written to golden_profile.actual next
+   to the test binary. *)
+let golden_profile_systems = Harness.Run.[ Morty; Mvtso; Tapir; Spanner ]
+
+let bench_exp system =
+  let clients = 16 and cores = 2 in
+  {
+    Harness.Run.default_exp with
+    e_system = system;
+    e_workload =
+      Harness.Run.Ycsb
+        { Workload.Ycsb.default_conf with n_keys = 200; theta = 1.1; read_pct = 50 };
+    e_clients = clients;
+    e_cores = cores;
+    e_measure_us = 300_000;
+    e_warmup_us = 20_000;
+    e_seed = 21;
+    e_label =
+      Printf.sprintf "%s/%s c=%d cores=%d" (Harness.Run.system_name system)
+        (Simnet.Latency.setup_name Simnet.Latency.Reg) clients cores;
+  }
+
+let test_profile_matches_golden () =
+  let actual =
+    List.map
+      (fun system ->
+        let e = bench_exp system in
+        let prof = Obs.Profile.create ~label:e.Harness.Run.e_label () in
+        ignore (Harness.Run.run_exp ~prof e);
+        Obs.Profile.to_json prof)
+      golden_profile_systems
+  in
+  let expected =
+    In_channel.with_open_bin "golden_profile.txt" In_channel.input_all
+  in
+  if String.concat "" actual <> expected then begin
+    Out_channel.with_open_bin "golden_profile.actual" (fun oc ->
+        List.iter (output_string oc) actual);
+    let want = Array.of_list (String.split_on_char '\n' expected) in
+    List.iteri
+      (fun i (system, got) ->
+        let want = if i < Array.length want then want.(i) else "" in
+        if String.trim got <> want then
+          Alcotest.failf "%s profile differs:\n  want %s\n  got  %s"
+            (Harness.Run.system_name system) want (String.trim got))
+      (List.combine golden_profile_systems actual);
+    Alcotest.fail "golden_profile.txt has extra lines"
+  end
+
+(* Attaching the profiler observes, never steers: the result row and the
+   audited history are identical with and without it. *)
+let test_profiler_does_not_perturb () =
+  List.iter
+    (fun system ->
+      let e = bench_exp system in
+      let name = Harness.Run.system_name system in
+      let r0, h0 = Harness.Run.run_exp_audited e in
+      let prof = Obs.Profile.create ~label:e.Harness.Run.e_label () in
+      let r1, h1 = Harness.Run.run_exp_audited ~prof e in
+      Alcotest.(check bool) (name ^ ": profiled") true (Obs.Profile.n_txns prof > 0);
+      Alcotest.(check string) (name ^ ": csv row")
+        (Harness.Stats.to_csv_row r0) (Harness.Stats.to_csv_row r1);
+      Alcotest.(check string) (name ^ ": history digest")
+        (Test_harness.history_digest h0) (Test_harness.history_digest h1))
+    golden_profile_systems
+
 let suites =
   [
     ( "profile-core",
@@ -280,6 +352,10 @@ let suites =
         Alcotest.test_case "attribute pinned" `Quick test_attribute_pinned;
         Alcotest.test_case "null profiler" `Quick test_null_profiler;
         Alcotest.test_case "hot keys sorted" `Quick test_hot_keys;
+        Alcotest.test_case "matches golden (all systems)" `Quick
+          test_profile_matches_golden;
+        Alcotest.test_case "profiler does not perturb" `Quick
+          test_profiler_does_not_perturb;
       ] );
     ( "profile-invariants",
       [

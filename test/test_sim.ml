@@ -340,6 +340,131 @@ let qcheck_rng_int_in_range =
       let v = Rng.int r bound in
       v >= 0 && v < bound)
 
+(* Golden stream: the expected values were generated with the original
+   boxed-state generator, so any drift in the stream fails here (every
+   seeded run in the repository depends on it).  Floats are compared
+   bit-exactly via their hex literals. *)
+let rng_golden =
+  [
+    ( 0,
+      [ -2152535657050944081L; 7960286522194355700L; 487617019471545679L;
+        -537132696929009172L; 1961750202426094747L; 6038094601263162090L;
+        3207296026000306913L; -4214222208109204676L ],
+      [ 767; 850; 839; 222; 373; 45; 456; 470 ],
+      [ 4; 4; 4; 2; 4; 1; 0; 1 ],
+      [ 0x1.c4415072f63b9p-1; 0x1.b9e279aa86e58p-2; 0x1.b1174620025p-6;
+        0x1.f1177150e499p-1; 0x1.b39896a51a87p-4; 0x1.4f2e7c31d1fa8p-2;
+        0x1.6414d5f0fa298p-3; 0x1.8b082675922d5p-1 ],
+      [ true; false; true; false; true; false; true; false ],
+      [ -6411193824288604561L; -5511663747979980962L; 7141179953334974231L;
+        -6338048412857661178L; -3912029315837398853L; 2697553276395720353L;
+        -4083151137508962626L; 4890566965504419038L ],
+      [ 7960286522194355700L; 487617019471545679L ] );
+    ( 42,
+      [ -7450291807549245335L; 2958219263312191191L; 3069497704473277141L;
+        885919558081284366L; -353919125003956057L; 4337243929683858115L;
+        5152897204343404489L; 2820384354626331986L ],
+      [ 140; 595; 570; 183; 779; 57; 244; 993 ],
+      [ 3; 2; 0; 5; 4; 6; 0; 5 ],
+      [ 0x1.31367e26140c7p-1; 0x1.486da5f92b86cp-3; 0x1.54c85f31d00d8p-3;
+        0x1.896d649de031p-5; 0x1.f62d40dca5d82p-1; 0x1.e187e2fea8348p-3;
+        0x1.1e0b12d313f7cp-2; 0x1.392025051c93p-3 ],
+      [ true; true; true; false; true; true; true; false ],
+      [ 6168158941143839527L; -3019913106490840865L; -1367550982472023797L;
+        -7015381238573483236L; -5706006749629217081L; 2300893321553747151L;
+        -1304710398959156219L; 7724519035333002459L ],
+      [ 2958219263312191191L; 3069497704473277141L ] );
+  ]
+
+let test_rng_golden_stream () =
+  List.iter
+    (fun (seed, i64, i1000, i7, fl, bl, child, after_split) ->
+      let draws f = let r = Rng.create seed in List.init 8 (fun _ -> f r) in
+      let name what = Printf.sprintf "seed %d %s" seed what in
+      Alcotest.(check (list int64)) (name "int64") i64 (draws Rng.int64);
+      Alcotest.(check (list int)) (name "int 1000") i1000
+        (draws (fun r -> Rng.int r 1000));
+      Alcotest.(check (list int)) (name "int 7") i7 (draws (fun r -> Rng.int r 7));
+      Alcotest.(check (list int64)) (name "float 1.0 bits")
+        (List.map Int64.bits_of_float fl)
+        (List.map Int64.bits_of_float (draws (fun r -> Rng.float r 1.0)));
+      Alcotest.(check (list bool)) (name "bool") bl (draws Rng.bool);
+      let r = Rng.create seed in
+      let c = Rng.split r in
+      Alcotest.(check (list int64)) (name "split child") child
+        (List.init 8 (fun _ -> Rng.int64 c));
+      Alcotest.(check (list int64)) (name "parent after split") after_split
+        (List.init 2 (fun _ -> Rng.int64 r)))
+    rng_golden
+
+(* Minor words [f] allocates per call over [n] calls.  Meaningful only
+   in native code: bytecode boxes every int64. *)
+let words_per_call ~n f =
+  f ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+let native = Sys.backend_type = Sys.Native
+
+let test_rng_int_allocation_free () =
+  if native then begin
+    let r = Rng.create 5 in
+    let sink = ref 0 in
+    let w = words_per_call ~n:100_000 (fun () -> sink := !sink + Rng.int r 1000) in
+    Alcotest.(check bool) (Printf.sprintf "Rng.int: %.3f words/call" w) true
+      (w < 0.01)
+  end
+
+let test_heap_push_remove_allocation_free () =
+  if native then begin
+    let h = Heap.create () and r = Rng.create 6 in
+    for i = 0 to 999 do
+      Heap.push h ~time:(Rng.int r 10_000) ~seq:i i
+    done;
+    let seq = ref 1000 in
+    let w =
+      words_per_call ~n:100_000 (fun () ->
+          let time = Heap.min_time h in
+          ignore (Heap.remove_min h);
+          Heap.push h ~time:(time + 1 + Rng.int r 10_000) ~seq:!seq !seq;
+          incr seq)
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "push + remove_min: %.3f words/call" w) true (w < 0.01)
+  end
+
+(* Popped values must not stay reachable through vacated heap slots.
+   40 pushes grow the arrays twice (16 -> 32 -> 64); after 39 pops only
+   the value that first sized the arrays may survive a full major GC. *)
+let fill_and_drain h weak =
+  for i = 0 to 39 do
+    let v = ref i in
+    Weak.set weak i (Some v);
+    Heap.push h ~time:i ~seq:i v
+  done;
+  for _ = 1 to 39 do
+    ignore (Heap.pop h)
+  done
+[@@inline never]
+
+let test_heap_releases_popped () =
+  let h = Heap.create () and weak = Weak.create 40 in
+  fill_and_drain h weak;
+  Gc.full_major ();
+  let alive = ref [] in
+  for i = 0 to 38 do
+    if Weak.check weak i then alive := i :: !alive
+  done;
+  Alcotest.(check int) "one value still queued" 1 (Heap.length h);
+  Alcotest.(check bool)
+    (Printf.sprintf "popped values reachable: [%s]"
+       (String.concat "; " (List.rev_map string_of_int !alive)))
+    true
+    (List.length !alive <= 1)
+
 let suites =
   [
     ( "sim.rng",
@@ -352,6 +477,8 @@ let suites =
         Alcotest.test_case "split independent" `Quick test_rng_split_independent;
         Alcotest.test_case "uniformity" `Slow test_rng_uniformity;
         Alcotest.test_case "shuffle is a permutation" `Quick test_shuffle_permutation;
+        Alcotest.test_case "golden stream" `Quick test_rng_golden_stream;
+        Alcotest.test_case "int allocation-free" `Quick test_rng_int_allocation_free;
         QCheck_alcotest.to_alcotest qcheck_rng_int_in_range;
       ] );
     ( "sim.dist",
@@ -368,6 +495,9 @@ let suites =
         Alcotest.test_case "orders by time" `Quick test_heap_orders_by_time;
         Alcotest.test_case "fifo within same time" `Quick test_heap_fifo_within_same_time;
         Alcotest.test_case "random stress" `Quick test_heap_random_stress;
+        Alcotest.test_case "push + remove_min allocation-free" `Quick
+          test_heap_push_remove_allocation_free;
+        Alcotest.test_case "releases popped values" `Quick test_heap_releases_popped;
         QCheck_alcotest.to_alcotest qcheck_heap_sorted;
       ] );
     ( "sim.engine",

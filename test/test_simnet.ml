@@ -320,6 +320,84 @@ let qcheck_cpu_conserves_work =
       Cpu.busy_us cpu = List.fold_left ( + ) 0 costs
       && Cpu.completed cpu = List.length costs)
 
+(* Fault-free, observer-free fast path: one [send] plus its delivery
+   allocates only the engine's event record (header + 4 fields) and the
+   delivery closure (header, code pointer, closure info and 8 captured
+   values); the heap holds one entry, so its share is zero.  The FIFO
+   clocks, fault tables, observer events and delivery context must add
+   nothing.  Measured in native code only: bytecode boxes more. *)
+let test_net_send_allocation_budget () =
+  if Sys.backend_type = Sys.Native then begin
+    let e, net = mk_net ~jitter_us:20 () in
+    let a = Net.add_node net ~region:(Latency.Az 0) in
+    let b = Net.add_node net ~region:(Latency.Az 1) in
+    let got = ref 0 in
+    Net.set_handler net b (fun ~src:_ m -> got := !got + m);
+    let round () =
+      Net.send net ~src:a ~dst:b 1;
+      ignore (Sim.Engine.step e)
+    in
+    for _ = 1 to 1000 do
+      round ()
+    done;
+    let n = 100_000 in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do
+      round ()
+    done;
+    let w = (Gc.minor_words () -. w0) /. float_of_int n in
+    Alcotest.(check int) "all delivered" (n + 1000) !got;
+    let budget = 5. +. 11. in
+    Alcotest.(check bool)
+      (Printf.sprintf "send + delivery: %.2f words/msg (budget %.0f)" w budget)
+      true (w <= budget +. 0.01)
+  end
+
+(* [current_delivery]: [None] outside a handler, the delivery's fields
+   inside one -- also for a sender added after the receiver's FIFO array
+   was sized. *)
+let test_net_current_delivery () =
+  let e, net = mk_net () in
+  let a = Net.add_node net ~region:(Latency.Az 0) in
+  let b = Net.add_node net ~region:(Latency.Az 1) in
+  let seen = ref [] in
+  Net.set_handler net b (fun ~src m ->
+      seen := (src, m, Net.current_delivery net) :: !seen);
+  Alcotest.(check bool) "none before any delivery" true
+    (Net.current_delivery net = None);
+  Net.set_send_path net ~transit_us:7 ~queue_us:8 ~service_us:9;
+  Net.send net ~src:a ~dst:b "first";
+  Net.clear_send_path net;
+  Sim.Engine.run e;
+  Alcotest.(check bool) "none after the handler" true
+    (Net.current_delivery net = None);
+  ignore (Sim.Engine.schedule e ~after:10 (fun () ->
+      Alcotest.(check bool) "none in a timer" true
+        (Net.current_delivery net = None)));
+  Sim.Engine.run e;
+  (* A node added after [b]'s FIFO array was sized, sending twice. *)
+  let c = Net.add_node net ~region:(Latency.Az 0) in
+  let t_send = Sim.Engine.now e in
+  Net.send net ~src:c ~dst:b "late-1";
+  Net.send net ~src:c ~dst:b "late-2";
+  Sim.Engine.run e;
+  match List.rev !seen with
+  | [ (s1, "first", Some d1); (s2, "late-1", Some d2); (s3, "late-2", Some d3) ]
+    ->
+    Alcotest.(check int) "first src" a s1;
+    Alcotest.(check int) "first sent at 0" 0 d1.Net.di_send_us;
+    Alcotest.(check int) "first received at one-way + base" 5_060 d1.Net.di_recv_us;
+    Alcotest.(check bool) "first path" true
+      (d1.Net.di_path = { Net.p_transit_us = 7; p_queue_us = 8; p_service_us = 9 });
+    Alcotest.(check int) "late src" c s2;
+    Alcotest.(check int) "late src again" c s3;
+    Alcotest.(check int) "late sent" t_send d2.Net.di_send_us;
+    Alcotest.(check int) "late received" (t_send + 5_060) d2.Net.di_recv_us;
+    Alcotest.(check bool) "late path cleared" true (d2.Net.di_path = Net.no_path);
+    Alcotest.(check bool) "fifo on the late channel" true
+      (d3.Net.di_recv_us >= d2.Net.di_recv_us)
+  | l -> Alcotest.failf "unexpected deliveries (%d)" (List.length l)
+
 let suites =
   [
     ( "simnet.latency",
@@ -336,6 +414,9 @@ let suites =
         Alcotest.test_case "crash mid-flight" `Quick test_net_crash_mid_flight;
         Alcotest.test_case "no handler drops" `Quick test_net_no_handler_drops;
         Alcotest.test_case "wan slower than lan" `Quick test_net_wan_slower_than_lan;
+        Alcotest.test_case "send allocation budget" `Quick
+          test_net_send_allocation_budget;
+        Alcotest.test_case "current_delivery" `Quick test_net_current_delivery;
         QCheck_alcotest.to_alcotest qcheck_net_fifo;
       ] );
     ( "simnet.faults",

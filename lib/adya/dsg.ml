@@ -24,34 +24,61 @@ let pp_violation ppf = function
   | Cycle edges ->
     Fmt.pf ppf "cycle: @[<h>%a@]" Fmt.(list ~sep:(any " ; ") pp_edge) edges
 
-(* Keys written by the committed transactions of [h], with their version
-   order (Version.zero is the implicit first version of every key). *)
-let keys_written h =
-  let keys = Hashtbl.create 64 in
-  List.iter
-    (fun (txn : History.txn) ->
-      List.iter (fun k -> Hashtbl.replace keys k ()) txn.writes)
-    (History.committed h);
-  Hashtbl.fold (fun k () acc -> k :: acc) keys []
+(* (key, writer) pairs, for the successor table below. *)
+module Key_ver = Hashtbl.Make (struct
+  type t = string * Version.t
 
-let edges h =
-  let committed = History.committed h in
+  let equal (k1, v1) (k2, v2) = Version.equal v1 v2 && String.equal k1 k2
+  let hash (k, v) = Hashtbl.hash k + (31 * Version.hash v)
+end)
+
+(* One pass over [committed] (in version order) indexes every key's
+   committed installers; ww edges come from consecutive installers and
+   each read's rw edge is a single lookup.  The key table's fold order
+   fixes the edge order, and with it the DFS order and the cycle a
+   violation reports (printed in the explorer's reproducers and pinned
+   by golden tests): keep its [create 64] and one [replace] per key
+   named in a committed [writes], in version order. *)
+let edges_of committed =
   let acc = ref [] in
   let emit src dst kind key =
     if not (Version.equal src dst) then acc := { src; dst; kind; key } :: !acc
   in
+  (* Each key's installers, newest first; a txn naming a key twice in
+     [writes] is counted once. *)
+  let keys = Hashtbl.create 64 in
+  List.iter
+    (fun (txn : History.txn) ->
+      List.iter
+        (fun k ->
+          let installers =
+            match Hashtbl.find_opt keys k with
+            | Some (last :: _ as l) when Version.equal last txn.ver -> l
+            | Some l -> txn.ver :: l
+            | None -> [ txn.ver ]
+          in
+          Hashtbl.replace keys k installers)
+        txn.writes)
+    committed;
+  (* [Version.zero] implicitly precedes every key's first installer. *)
+  let first = Hashtbl.create 64 in
+  let succ = Key_ver.create 256 in
   (* ww edges: consecutive versions in each key's version order. *)
   List.iter
-    (fun key ->
-      let order = History.version_order h key in
-      let rec consecutive = function
-        | a :: (b :: _ as rest) ->
-          emit a b Ww key;
-          consecutive rest
-        | [ _ ] | [] -> ()
-      in
-      consecutive order)
-    (keys_written h);
+    (fun (key, newest_first) ->
+      match List.rev newest_first with
+      | [] -> ()
+      | v0 :: _ as order ->
+        Hashtbl.replace first key v0;
+        let rec consecutive = function
+          | a :: (b :: _ as rest) ->
+            emit a b Ww key;
+            Key_ver.replace succ (key, a) b;
+            consecutive rest
+          | [ _ ] | [] -> ()
+        in
+        consecutive order)
+    (Hashtbl.fold (fun k l acc -> (k, l) :: acc) keys []);
   (* wr and rw edges from each committed read. *)
   List.iter
     (fun (txn : History.txn) ->
@@ -60,16 +87,9 @@ let edges h =
           if not (Version.is_zero writer) then emit writer txn.ver Wr key;
           (* rw: the installer of the version immediately after [writer]
              in the version order anti-depends on this reader. *)
-          let order = History.version_order h key in
           let next =
-            let rec find = function
-              | a :: b :: rest ->
-                if Version.equal a writer then Some b else find (b :: rest)
-              | [ _ ] | [] -> None
-            in
-            if Version.is_zero writer then
-              match order with v :: _ -> Some v | [] -> None
-            else find order
+            if Version.is_zero writer then Hashtbl.find_opt first key
+            else Key_ver.find_opt succ (key, writer)
           in
           match next with
           | Some nxt -> emit txn.ver nxt Rw key
@@ -77,6 +97,8 @@ let edges h =
         txn.reads)
     committed;
   !acc
+
+let edges h = edges_of (History.committed h)
 
 let check h =
   let committed = History.committed h in
@@ -99,7 +121,7 @@ let check h =
   | Some v -> Error v
   | None ->
     (* Cycle detection: DFS over the adjacency map. *)
-    let es = edges h in
+    let es = edges_of committed in
     let adj = Hashtbl.create 64 in
     List.iter
       (fun e ->

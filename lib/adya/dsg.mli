@@ -26,10 +26,18 @@ type violation =
   | Cycle of edge list  (** G1c/G2: a cycle in DSG(H). *)
 
 val edges : History.t -> edge list
-(** All conflict edges between committed transactions. *)
+(** All conflict edges between committed transactions.  One pass indexes
+    each key's committed installers, so the cost is O(reads + writes)
+    hash operations (plus listing the committed transactions).  The
+    order of the list is stable: a function of the history alone. *)
 
 val check : History.t -> (unit, violation) result
-(** [Ok ()] iff the history is serializable in Adya's sense. *)
+(** [Ok ()] iff the history is serializable in Adya's sense.  The
+    edges cost as in {!edges}; the G1a test looks up each read's writer
+    (O(log n) each) and the cycle search is a DFS over the edges.  The
+    DFS visits committed transactions in version order and follows
+    each node's edges in a fixed order, so a violation reports the
+    same cycle on every run. *)
 
 val pp_violation : Format.formatter -> violation -> unit
 

@@ -23,17 +23,23 @@ let of_list l = List.fold_left add empty l
 
 let txns t = List.map snd (Version.Map.bindings t.by_ver)
 
-let committed t = List.filter (fun txn -> txn.committed) (txns t)
+(* Visits [by_ver] newest first, so consing onto [acc] yields a list in
+   version order without materialising [txns]. *)
+let fold_newest_first f t =
+  Seq.fold_left (fun acc (_, txn) -> f txn acc) [] (Version.Map.to_rev_seq t.by_ver)
+
+let committed t =
+  fold_newest_first (fun txn acc -> if txn.committed then txn :: acc else acc) t
 
 let find t ver = Version.Map.find_opt ver t.by_ver
 
 let version_order t key =
-  List.filter_map
-    (fun txn ->
+  fold_newest_first
+    (fun txn acc ->
       if txn.committed && List.exists (String.equal key) txn.writes then
-        Some txn.ver
-      else None)
-    (txns t)
+        txn.ver :: acc
+      else acc)
+    t
 
 let pp ppf t =
   let pp_txn ppf txn =

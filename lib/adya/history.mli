@@ -32,12 +32,15 @@ val txns : t -> txn list
 (** All recorded transactions, in version order. *)
 
 val committed : t -> txn list
-(** Committed transactions only, in version order. *)
+(** Committed transactions only, in version order.  O(n). *)
 
 val find : t -> Cc_types.Version.t -> txn option
 
 val version_order : t -> string -> Cc_types.Version.t list
 (** Committed installers of a key, in version order (excluding the
-    initial version [Version.zero], which implicitly precedes all). *)
+    initial version [Version.zero], which implicitly precedes all).
+    Scans the whole history: O(n) transactions and their [writes] per
+    call.  For every key at once, {!Dsg.edges} indexes them in one
+    pass. *)
 
 val pp : Format.formatter -> t -> unit

@@ -7,11 +7,7 @@ type violation =
   | Monitor_violation of Obs.Monitor.violation
 
 let history_of txns =
-  try
-    Ok
-      (List.fold_left
-         (fun h (t : Adya.History.txn) -> Adya.History.add h t)
-         Adya.History.empty txns)
+  try Ok (Adya.History.of_list txns)
   with Invalid_argument msg -> Error (Duplicate_version msg)
 
 let ( let* ) = Result.bind

@@ -2,6 +2,16 @@ type region = Us_east_1 | Us_west_1 | Us_west_2 | Eu_west_1 | Az of int
 
 type setup = Reg | Con | Glo
 
+(* Monomorphic, so [rtt_us] on every message send avoids the polymorphic
+   [caml_equal] call that [Az i] blocks would otherwise cost. *)
+let equal_region a b =
+  match (a, b) with
+  | Az i, Az j -> Int.equal i j
+  | Us_east_1, Us_east_1 | Us_west_1, Us_west_1 | Us_west_2, Us_west_2
+  | Eu_west_1, Eu_west_1 ->
+    true
+  | (Us_east_1 | Us_west_1 | Us_west_2 | Eu_west_1 | Az _), _ -> false
+
 let region_name = function
   | Us_east_1 -> "us-east-1"
   | Us_west_1 -> "us-west-1"
@@ -35,7 +45,7 @@ let rank = function
   | Az i -> 4 + i
 
 let aws_rtt_ms a b =
-  if a = b then 0
+  if equal_region a b then 0
   else
     let a, b = if rank a <= rank b then (a, b) else (b, a) in
     match (a, b) with
@@ -48,7 +58,7 @@ let aws_rtt_ms a b =
     | (Us_east_1 | Us_west_1 | Us_west_2 | Eu_west_1 | Az _), _ -> 10
 
 let rtt_us setup a b =
-  if a = b then 0
+  if equal_region a b then 0
   else
     match setup with
     | Reg -> ms 10

@@ -15,6 +15,9 @@ type region =
 
 type setup = Reg | Con | Glo
 
+val equal_region : region -> region -> bool
+(** Structural equality, without a polymorphic compare. *)
+
 val region_name : region -> string
 
 val setup_name : setup -> string

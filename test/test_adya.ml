@@ -243,6 +243,280 @@ let qcheck_stale_rmw_rejected =
       in
       not (Adya.Dsg.is_serializable (Adya.History.of_list txns)))
 
+(* ---- Reference oracle ---- *)
+
+(* [Dsg.edges] as it was before the per-key index: one
+   [History.version_order] scan per written key and per committed read.
+   Quadratic, but plainly right; [Dsg.edges] must return exactly this
+   list, order included, since the order fixes the DFS and so the cycle
+   a violation reports. *)
+let naive_edges h =
+  let committed = Adya.History.committed h in
+  let keys = Hashtbl.create 64 in
+  List.iter
+    (fun (txn : Adya.History.txn) ->
+      List.iter (fun k -> Hashtbl.replace keys k ()) txn.writes)
+    committed;
+  let keys_written = Hashtbl.fold (fun k () acc -> k :: acc) keys [] in
+  let acc = ref [] in
+  let emit src dst kind key =
+    if not (Version.equal src dst) then
+      acc := { Adya.Dsg.src; dst; kind; key } :: !acc
+  in
+  List.iter
+    (fun key ->
+      let rec consecutive = function
+        | a :: (b :: _ as rest) ->
+          emit a b Adya.Dsg.Ww key;
+          consecutive rest
+        | [ _ ] | [] -> ()
+      in
+      consecutive (Adya.History.version_order h key))
+    keys_written;
+  List.iter
+    (fun (txn : Adya.History.txn) ->
+      List.iter
+        (fun (key, writer) ->
+          if not (Version.is_zero writer) then emit writer txn.ver Adya.Dsg.Wr key;
+          let order = Adya.History.version_order h key in
+          let next =
+            let rec find = function
+              | a :: b :: rest ->
+                if Version.equal a writer then Some b else find (b :: rest)
+              | [ _ ] | [] -> None
+            in
+            if Version.is_zero writer then
+              match order with v :: _ -> Some v | [] -> None
+            else find order
+          in
+          match next with
+          | Some nxt -> emit txn.ver nxt Adya.Dsg.Rw key
+          | None -> ())
+        txn.reads)
+    committed;
+  !acc
+
+type verdict = V_ok | V_g1a | V_cycle
+
+(* The verdict [Dsg.check] must reach, computed independently of its
+   DFS: G1a if a committed read names a non-committed writer, otherwise
+   a cycle iff Kahn's algorithm cannot drain [naive_edges]. *)
+let naive_verdict h =
+  let committed = Adya.History.committed h in
+  let g1a =
+    List.exists
+      (fun (txn : Adya.History.txn) ->
+        List.exists
+          (fun (_, w) ->
+            (not (Version.is_zero w))
+            &&
+            match Adya.History.find h w with
+            | Some t -> not t.committed
+            | None -> true)
+          txn.reads)
+      committed
+  in
+  if g1a then V_g1a
+  else
+    let es = naive_edges h in
+    let indeg = Hashtbl.create 64 in
+    List.iter (fun (t : Adya.History.txn) -> Hashtbl.replace indeg t.ver 0) committed;
+    List.iter
+      (fun (e : Adya.Dsg.edge) ->
+        Hashtbl.replace indeg e.dst (Hashtbl.find indeg e.dst + 1))
+      es;
+    let ready =
+      Queue.of_seq
+        (Seq.filter_map
+           (fun (v, d) -> if d = 0 then Some v else None)
+           (Hashtbl.to_seq indeg))
+    in
+    let drained = ref 0 in
+    while not (Queue.is_empty ready) do
+      let v = Queue.pop ready in
+      incr drained;
+      List.iter
+        (fun (e : Adya.Dsg.edge) ->
+          if Version.equal e.src v then begin
+            let d = Hashtbl.find indeg e.dst - 1 in
+            Hashtbl.replace indeg e.dst d;
+            if d = 0 then Queue.push e.dst ready
+          end)
+        es
+    done;
+    if !drained = List.length committed then V_ok else V_cycle
+
+let pp_kind ppf k =
+  Fmt.string ppf (match k with Adya.Dsg.Wr -> "wr" | Ww -> "ww" | Rw -> "rw")
+
+let edge_t =
+  Alcotest.testable
+    (fun ppf (e : Adya.Dsg.edge) ->
+      Fmt.pf ppf "%a-%a(%s)->%a" Version.pp e.src pp_kind e.kind e.key Version.pp
+        e.dst)
+    ( = )
+
+(* Coverage the random histories below must reach, so the property is
+   not satisfied vacuously. *)
+type coverage = {
+  mutable dup_writes : int;
+  mutable zero_reads : int;
+  mutable aborted_writer_reads : int;
+  mutable absent_writer_reads : int;
+  mutable mixed_outcomes : int;
+  mutable ok : int;
+  mutable g1a : int;
+  mutable cycle : int;
+}
+
+(* 1-8 keys, up to 40 transactions.  Half the histories are "clean":
+   committed reads name only [Version.zero] or committed writers, so the
+   verdict turns on the graph rather than on G1a. *)
+let random_history cov seed =
+  let rng = Random.State.make [| seed |] in
+  let int n = Random.State.int rng n in
+  let nkeys = 1 + int 8 in
+  let key () = "k" ^ string_of_int (int nkeys) in
+  let clean = Random.State.bool rng in
+  let pick = function [] -> None | l -> Some (List.nth l (int (List.length l))) in
+  let txns = ref [] in
+  for i = 0 to int 41 - 1 do
+    let committed = int 4 > 0 in
+    let writes = List.init (int 4) (fun _ -> key ()) in
+    if List.length (List.sort_uniq String.compare writes) < List.length writes then
+      cov.dup_writes <- cov.dup_writes + 1;
+    let candidates k =
+      List.filter
+        (fun (t : Adya.History.txn) ->
+          (t.committed || not clean) && (k = "" || List.mem k t.writes))
+        !txns
+    in
+    let reads =
+      List.init (int 4) (fun _ ->
+          let k = key () in
+          let writer =
+            match int 10 with
+            | 0 | 1 | 2 -> Version.zero
+            | 3 when not clean -> Version.make ~ts:(100 + int 10) ~id:(-1)
+            | 4 -> (
+              (* Any earlier transaction, not necessarily an installer of
+                 [k]: a read with no successor in [k]'s order. *)
+              match pick (candidates "") with
+              | Some t -> t.ver
+              | None -> Version.zero)
+            | _ -> (
+              match pick (candidates k) with
+              | Some t -> t.ver
+              | None -> Version.zero)
+          in
+          (k, writer))
+    in
+    let ver = Version.make ~ts:(int 50) ~id:i in
+    txns :=
+      txn ~committed ~commit_us:(if committed then 0 else -1) ver reads writes
+      :: !txns
+  done;
+  let txns = !txns in
+  let h = Adya.History.of_list txns in
+  List.iter
+    (fun (t : Adya.History.txn) ->
+      List.iter
+        (fun (_, w) ->
+          if Version.is_zero w then cov.zero_reads <- cov.zero_reads + 1
+          else
+            match Adya.History.find h w with
+            | None -> cov.absent_writer_reads <- cov.absent_writer_reads + 1
+            | Some w when not w.committed ->
+              cov.aborted_writer_reads <- cov.aborted_writer_reads + 1
+            | Some _ -> ())
+        t.reads)
+    txns;
+  if
+    List.exists (fun (t : Adya.History.txn) -> t.committed) txns
+    && List.exists (fun (t : Adya.History.txn) -> not t.committed) txns
+  then cov.mixed_outcomes <- cov.mixed_outcomes + 1;
+  h
+
+let test_edges_match_reference () =
+  let cov =
+    {
+      dup_writes = 0;
+      zero_reads = 0;
+      aborted_writer_reads = 0;
+      absent_writer_reads = 0;
+      mixed_outcomes = 0;
+      ok = 0;
+      g1a = 0;
+      cycle = 0;
+    }
+  in
+  for seed = 1 to 2_500 do
+    let h = random_history cov seed in
+    let name what = Printf.sprintf "seed %d: %s" seed what in
+    Alcotest.(check (list edge_t)) (name "edges") (naive_edges h) (Adya.Dsg.edges h);
+    match (naive_verdict h, Adya.Dsg.check h) with
+    | V_ok, Ok () -> cov.ok <- cov.ok + 1
+    | V_g1a, Error (Adya.Dsg.Aborted_read _) -> cov.g1a <- cov.g1a + 1
+    | V_cycle, Error (Adya.Dsg.Cycle c) ->
+      cov.cycle <- cov.cycle + 1;
+      (* The reported cycle is closed and made of genuine edges. *)
+      let es = naive_edges h in
+      List.iter
+        (fun e -> Alcotest.(check bool) (name "cycle edge in DSG") true (List.mem e es))
+        c;
+      let srcs = List.map (fun (e : Adya.Dsg.edge) -> e.src) c in
+      let dsts = List.map (fun (e : Adya.Dsg.edge) -> e.dst) c in
+      (match srcs with
+      | first :: rest ->
+        Alcotest.(check bool) (name "cycle closed") true
+          (List.equal Version.equal (rest @ [ first ]) dsts)
+      | [] -> Alcotest.fail (name "empty cycle"))
+    | _, verdict ->
+      Alcotest.failf "%s: verdict %s disagrees with the reference" (name "check")
+        (match verdict with
+        | Ok () -> "Ok"
+        | Error v -> Fmt.str "%a" Adya.Dsg.pp_violation v)
+  done;
+  List.iter
+    (fun (what, n) -> Alcotest.(check bool) ("covered: " ^ what) true (n > 0))
+    [
+      ("duplicate keys in writes", cov.dup_writes);
+      ("reads of Version.zero", cov.zero_reads);
+      ("reads of aborted writers", cov.aborted_writer_reads);
+      ("reads of absent versions", cov.absent_writer_reads);
+      ("committed and aborted mixed", cov.mixed_outcomes);
+      ("Ok verdicts", cov.ok);
+      ("G1a verdicts", cov.g1a);
+      ("cycle verdicts", cov.cycle);
+    ]
+
+(* A serial history of 20 000 read-modify-write transactions over 1 000
+   keys passes; one write-skew pair appended to it is caught.  No time
+   is asserted, but a per-read scan of the history (quadratic) would make
+   this test take minutes. *)
+let test_large_history () =
+  let rng = Random.State.make [| 20_000 |] in
+  let nkeys = 1_000 in
+  let key i = "k" ^ string_of_int i in
+  let latest = Array.make nkeys Version.zero in
+  let txns = ref [] in
+  for i = 1 to 20_000 do
+    let ver = v i in
+    let k1 = Random.State.int rng nkeys and k2 = Random.State.int rng nkeys in
+    txns := txn ver [ (key k1, latest.(k1)); (key k2, latest.(k2)) ] [ key k1 ] :: !txns;
+    latest.(k1) <- ver
+  done;
+  check_ok (Adya.History.of_list !txns);
+  (* T_a reads k0 and writes k1, T_b reads k1 and writes k0, both from the
+     latest versions: T_a -rw-> T_b -rw-> T_a. *)
+  let skew =
+    [
+      txn (v 20_001) [ (key 0, latest.(0)) ] [ key 1 ];
+      txn (v 20_002) [ (key 1, latest.(1)) ] [ key 0 ];
+    ]
+  in
+  check_cycle (Adya.History.of_list (skew @ !txns))
+
 (* ---- Analysis ---- *)
 
 let test_analysis_report () =
@@ -291,6 +565,8 @@ let suites =
         Alcotest.test_case "stale read + ww cycle" `Quick test_stale_read_cycle_with_ww;
         Alcotest.test_case "version order" `Quick test_version_order_follows_versions;
         Alcotest.test_case "duplicate rejected" `Quick test_duplicate_rejected;
+        Alcotest.test_case "edges match reference" `Quick test_edges_match_reference;
+        Alcotest.test_case "large history" `Quick test_large_history;
         QCheck_alcotest.to_alcotest qcheck_serial_histories_accepted;
         QCheck_alcotest.to_alcotest qcheck_stale_rmw_rejected;
       ] );

@@ -98,6 +98,62 @@ let test_aborted_reader_ignored () =
   | Error viol ->
     Alcotest.failf "aborted reader should not violate: %a" Adya.Dsg.pp_violation viol
 
+(* Golden violation text.  Each history below holds at least two cycles,
+   so which one [Dsg.check] reports is decided by the edge order and the
+   DFS that walks it.  The strings were recorded from the version-order
+   scan the per-key index replaced; the explorer prints these cycles in
+   its shrunk reproducers, so they must not drift. *)
+let golden_cases =
+  [
+    ( "two lost updates sharing T1",
+      [
+        txn (v 1 1)
+          ~reads:[ ("x", Version.zero); ("y", Version.zero) ]
+          ~writes:[ "x"; "y" ] ~start_us:0 ~commit_us:0;
+        txn (v 2 2) ~reads:[ ("x", Version.zero) ] ~writes:[ "x" ] ~start_us:0
+          ~commit_us:0;
+        txn (v 3 3) ~reads:[ ("y", Version.zero) ] ~writes:[ "y" ] ~start_us:0
+          ~commit_us:0;
+      ],
+      "cycle: v(1,1) -ww(x)-> v(2,2) ; v(2,2) -rw(x)-> v(1,1)" );
+    ( "rw triangle plus a lost update",
+      [
+        txn (v 1 1) ~reads:[ ("a", Version.zero) ] ~writes:[ "b" ] ~start_us:0
+          ~commit_us:0;
+        txn (v 2 2) ~reads:[ ("b", Version.zero) ] ~writes:[ "c" ] ~start_us:0
+          ~commit_us:0;
+        txn (v 3 3) ~reads:[ ("c", Version.zero) ] ~writes:[ "a" ] ~start_us:0
+          ~commit_us:0;
+        txn (v 4 4) ~reads:[ ("a", Version.zero) ] ~writes:[ "a" ] ~start_us:0
+          ~commit_us:0;
+      ],
+      "cycle: v(3,3) -ww(a)-> v(4,4) ; v(4,4) -rw(a)-> v(3,3)" );
+    ( "two rw pairs, duplicate writes, an aborted writer",
+      [
+        txn (v 10 1) ~writes:[ "x"; "x"; "y" ] ~start_us:0 ~commit_us:0;
+        txn (v 20 2) ~reads:[ ("x", v 10 1) ] ~writes:[ "z" ] ~start_us:0
+          ~commit_us:0;
+        txn (v 30 3) ~reads:[ ("z", Version.zero) ] ~writes:[ "x" ] ~start_us:0
+          ~commit_us:0;
+        txn (v 40 4) ~reads:[ ("y", v 10 1) ] ~writes:[ "w" ] ~start_us:0
+          ~commit_us:0;
+        txn (v 50 5) ~reads:[ ("w", Version.zero) ] ~writes:[ "y"; "y" ]
+          ~start_us:0 ~commit_us:0;
+        txn (v 60 6) ~committed:false ~reads:[ ("x", Version.zero) ]
+          ~writes:[ "x"; "w" ] ~start_us:0 ~commit_us:(-1);
+      ],
+      "cycle: v(30,3) -rw(z)-> v(20,2) ; v(20,2) -rw(x)-> v(30,3)" );
+  ]
+
+let test_golden_violations () =
+  List.iter
+    (fun (name, txns, expected) ->
+      match Adya.Dsg.check (history txns) with
+      | Ok () -> Alcotest.failf "%s: accepted" name
+      | Error viol ->
+        Alcotest.(check string) name expected (Fmt.str "%a" Adya.Dsg.pp_violation viol))
+    golden_cases
+
 (* The Explore audit layers sanity invariants over the oracle; make sure
    each fires on crafted inputs rather than passing vacuously. *)
 let dummy_result ?(committed = 1) ?(rate = 1.0) () =
@@ -175,6 +231,7 @@ let suites =
         Alcotest.test_case "write skew rejected" `Quick test_write_skew_rejected;
         Alcotest.test_case "serial chain accepted" `Quick test_serial_chain_accepted;
         Alcotest.test_case "aborted reader ignored" `Quick test_aborted_reader_ignored;
+        Alcotest.test_case "golden violation text" `Quick test_golden_violations;
       ] );
     ( "explore.audit",
       [

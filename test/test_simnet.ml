@@ -33,6 +33,68 @@ let test_latency_symmetry () =
 let test_latency_reg_is_10ms () =
   Alcotest.(check int) "REG RTT" 10_000 (Latency.rtt_us Latency.Reg (Latency.Az 0) (Latency.Az 1))
 
+(* Table 2 of the paper (RTT, ms), one entry per unordered pair of the
+   AWS regions the CON and GLO setups use. *)
+let table2_rtt_ms =
+  Latency.
+    [
+      ((Us_east_1, Us_west_1), 62);
+      ((Us_east_1, Us_west_2), 68);
+      ((Us_east_1, Eu_west_1), 68);
+      ((Us_west_1, Us_west_2), 22);
+      ((Us_west_1, Eu_west_1), 138);
+      ((Us_west_2, Eu_west_1), 128);
+    ]
+
+let test_one_way_every_pair () =
+  List.iter
+    (fun setup ->
+      let regions = Latency.regions setup in
+      Array.iteri
+        (fun i a ->
+          Array.iteri
+            (fun j b ->
+              let expected =
+                if i = j then 0
+                else
+                  match setup with
+                  | Latency.Reg -> 5_000
+                  | Latency.Con | Latency.Glo ->
+                    let rtt =
+                      match List.assoc_opt (a, b) table2_rtt_ms with
+                      | Some ms -> ms
+                      | None -> List.assoc (b, a) table2_rtt_ms
+                    in
+                    rtt * 1000 / 2
+              in
+              Alcotest.(check int)
+                (Printf.sprintf "%s %s->%s" (Latency.setup_name setup)
+                   (Latency.region_name a) (Latency.region_name b))
+                expected
+                (Latency.one_way_us setup a b))
+            regions)
+        regions)
+    [ Latency.Reg; Latency.Con; Latency.Glo ]
+
+let test_equal_region () =
+  let all i =
+    Latency.(
+      match i with
+      | 0 -> Us_east_1
+      | 1 -> Us_west_1
+      | 2 -> Us_west_2
+      | 3 -> Eu_west_1
+      | i -> Az (i - 4))
+  in
+  for i = 0 to 7 do
+    for j = 0 to 7 do
+      Alcotest.(check bool)
+        (Printf.sprintf "%d=%d" i j)
+        (i = j)
+        (Latency.equal_region (all i) (all j))
+    done
+  done
+
 let test_net_delivers () =
   let e, net = mk_net () in
   let a = Net.add_node net ~region:(Latency.Az 0) in
@@ -405,6 +467,8 @@ let suites =
         Alcotest.test_case "table2 values" `Quick test_latency_table2_values;
         Alcotest.test_case "symmetry" `Quick test_latency_symmetry;
         Alcotest.test_case "REG 10ms" `Quick test_latency_reg_is_10ms;
+        Alcotest.test_case "one-way every pair" `Quick test_one_way_every_pair;
+        Alcotest.test_case "equal_region" `Quick test_equal_region;
       ] );
     ( "simnet.net",
       [

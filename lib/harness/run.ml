@@ -520,38 +520,44 @@ module Make (S : Stack) = struct
   module Ycsb = Workload.Ycsb.Make (S.Client)
   module Smallbank = Workload.Smallbank.Make (S.Client)
 
-  (* Client [i]'s transaction mix.  Each runner stages its lineage label
-     per attempt: the begin under it consumes the label, and retries
-     rerun the runner. *)
-  let pick ~lineage workload i =
-    let label = Obs.Lineage.next_txn_label lineage in
-    match workload with
-    | Tpcc conf ->
-      let home_w = tpcc_home conf i in
-      fun rng ->
-        let kind = Workload.Tpcc.pick_kind rng in
-        fun client rng done_ ->
-          label (Workload.Tpcc.kind_name kind);
-          Tpcc.run conf client rng ~home_w kind done_
-    | Retwis conf ->
-      let zipf = Workload.Retwis.sampler conf in
-      fun rng ->
-        let kind = Workload.Retwis.pick_kind rng in
-        fun client rng done_ ->
-          label (Workload.Retwis.kind_name kind);
-          Retwis.run client rng zipf kind done_
-    | Ycsb conf ->
-      let zipf = Workload.Ycsb.sampler conf in
-      fun _rng client rng done_ ->
-        label "ycsb";
-        Ycsb.run conf client rng zipf done_
-    | Smallbank conf ->
-      let zipf = Workload.Smallbank.sampler conf in
-      fun rng ->
-        let kind = Workload.Smallbank.pick_kind rng in
-        fun client rng done_ ->
-          label (Workload.Smallbank.kind_name kind);
-          Smallbank.run conf client rng zipf kind done_
+  (* Client [i]'s transaction mix is [pick ~lineage workload i].  The
+     partial application [pick ~lineage workload] builds the workload's
+     Zipf sampler once per run; every client shares it, since it is never
+     mutated and each client draws from it with its own RNG.  Each runner
+     stages its lineage label per attempt: the begin under it consumes
+     the label, and retries rerun the runner. *)
+  let pick ~lineage workload =
+    let mix =
+      match workload with
+      | Tpcc conf ->
+        fun i label ->
+          let home_w = tpcc_home conf i in
+          fun rng ->
+            let kind = Workload.Tpcc.pick_kind rng in
+            fun client rng done_ ->
+              label (Workload.Tpcc.kind_name kind);
+              Tpcc.run conf client rng ~home_w kind done_
+      | Retwis conf ->
+        let zipf = Workload.Retwis.sampler conf in
+        fun _ label rng ->
+          let kind = Workload.Retwis.pick_kind rng in
+          fun client rng done_ ->
+            label (Workload.Retwis.kind_name kind);
+            Retwis.run client rng zipf kind done_
+      | Ycsb conf ->
+        let zipf = Workload.Ycsb.sampler conf in
+        fun _ label _rng client rng done_ ->
+          label "ycsb";
+          Ycsb.run conf client rng zipf done_
+      | Smallbank conf ->
+        let zipf = Workload.Smallbank.sampler conf in
+        fun _ label rng ->
+          let kind = Workload.Smallbank.pick_kind rng in
+          fun client rng done_ ->
+            label (Workload.Smallbank.kind_name kind);
+            Smallbank.run conf client rng zipf kind done_
+    in
+    fun i -> mix i (Obs.Lineage.next_txn_label lineage)
 
   let run ?cfg ?on_txn ?faults ?(obs = Obs.Sink.null ())
       ?(prof = Obs.Profile.null ()) ?(mon = Obs.Monitor.null ())
@@ -594,6 +600,7 @@ module Make (S : Stack) = struct
       end;
       match on_txn with Some f -> f (txn_of_record r) | None -> ()
     in
+    let pick = pick ~lineage e.e_workload in
     let clients =
       List.init e.e_clients (fun i ->
           let client =
@@ -601,7 +608,7 @@ module Make (S : Stack) = struct
               ~partition:(partition e ~n_groups i) ~on_finish
           in
           let crng = Sim.Rng.split rng in
-          closed_loop ~engine ~rng:crng ~client ~pick:(pick ~lineage e.e_workload i)
+          closed_loop ~engine ~rng:crng ~client ~pick:(pick i)
             ~stats ~warm_start ~warm_end ~prof
             ~comps:(fun () -> S.Client.last_comps client)
             ~backoff_base_us:e.e_backoff_base_us;

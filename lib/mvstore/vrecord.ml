@@ -4,24 +4,54 @@ type reply = { r_ver : Version.t; r_val : string }
 
 type read = { reader : Version.t; coord : int; mutable last : reply }
 
+(* Most keys of a run are never read or prepared, so each table is
+   created by its first insert ([None] until then).  The table is
+   created as [Hashtbl.create 8], so its bucket layout, and with it every
+   fold order, is the same as if it had been built with the record.  The
+   [None] is per record: a shared empty table would be written by every
+   fold's traversal flag, from several domains under [--jobs]. *)
+type ('k, 'v) table = ('k, 'v) Hashtbl.t option
+
 type t = {
   mutable uncommitted_writes : string Version.Map.t;
-  reads : (Version.t, read) Hashtbl.t;
-  prepared_reads : (Version.t, int * Version.t) Hashtbl.t;  (* reader -> eid, r_ver *)
-  prepared_writes : (Version.t, int) Hashtbl.t;  (* writer -> eid *)
+  mutable reads : (Version.t, read) table;
+  mutable prepared_reads : (Version.t, int * Version.t) table;  (* reader -> eid, r_ver *)
+  mutable prepared_writes : (Version.t, int) table;  (* writer -> eid *)
   mutable committed_writes : string Version.Map.t;
-  committed_reads : (Version.t, Version.t) Hashtbl.t;  (* reader -> r_ver *)
+  mutable committed_reads : (Version.t, Version.t) table;  (* reader -> r_ver *)
 }
 
 let create () =
   {
     uncommitted_writes = Version.Map.empty;
-    reads = Hashtbl.create 8;
-    prepared_reads = Hashtbl.create 8;
-    prepared_writes = Hashtbl.create 8;
+    reads = None;
+    prepared_reads = None;
+    prepared_writes = None;
     committed_writes = Version.Map.empty;
-    committed_reads = Hashtbl.create 8;
+    committed_reads = None;
   }
+
+(* The table a first insert creates. *)
+let singleton k v =
+  let h = Hashtbl.create 8 in
+  Hashtbl.replace h k v;
+  Some h
+
+let find_opt tbl k = match tbl with Some h -> Hashtbl.find_opt h k | None -> None
+
+let remove tbl k = match tbl with Some h -> Hashtbl.remove h k | None -> ()
+
+let fold f tbl acc = match tbl with Some h -> Hashtbl.fold f h acc | None -> acc
+
+let length = function Some h -> Hashtbl.length h | None -> 0
+
+(* Stops at the first binding satisfying [p]. *)
+let exists p = function
+  | None -> false
+  | Some h -> (
+    match Hashtbl.iter (fun k v -> if p k v then raise_notrace Exit) h with
+    | () -> false
+    | exception Exit -> true)
 
 let no_reply = { r_ver = Version.zero; r_val = "" }
 
@@ -44,15 +74,18 @@ let latest_before t ver =
     else { r_ver = uv; r_val = uval }
 
 let add_read t ~reader ~coord reply =
-  match Hashtbl.find_opt t.reads reader with
-  | Some r -> r.last <- reply
-  | None -> Hashtbl.replace t.reads reader { reader; coord; last = reply }
+  match t.reads with
+  | None -> t.reads <- singleton reader { reader; coord; last = reply }
+  | Some h -> (
+    match Hashtbl.find_opt h reader with
+    | Some r -> r.last <- reply
+    | None -> Hashtbl.replace h reader { reader; coord; last = reply })
 
-let find_read t reader = Hashtbl.find_opt t.reads reader
+let find_read t reader = find_opt t.reads reader
 
 let add_write t ~ver value =
   t.uncommitted_writes <- Version.Map.add ver value t.uncommitted_writes;
-  Hashtbl.fold
+  fold
     (fun _ r acc ->
       let missed =
         Version.compare ver r.reader < 0
@@ -87,20 +120,18 @@ let write_missed_by_read t ~reader ~r_ver =
      | None -> No_miss)
 
 let committed_read_missing_write t ~w_ver =
-  Hashtbl.fold
-    (fun reader r_ver acc ->
-      acc
-      || (Version.compare w_ver reader < 0 && Version.compare r_ver w_ver < 0))
-    t.committed_reads false
+  exists
+    (fun reader r_ver ->
+      Version.compare w_ver reader < 0 && Version.compare r_ver w_ver < 0)
+    t.committed_reads
 
 let prepared_read_missing_write t ~w_ver =
-  Hashtbl.fold
-    (fun reader (_eid, r_ver) acc ->
-      acc
-      || ((not (Version.equal reader w_ver))
-          && Version.compare w_ver reader < 0
-          && Version.compare r_ver w_ver < 0))
-    t.prepared_reads false
+  exists
+    (fun reader (_eid, r_ver) ->
+      (not (Version.equal reader w_ver))
+      && Version.compare w_ver reader < 0
+      && Version.compare r_ver w_ver < 0)
+    t.prepared_reads
 
 let committed_value t ver = Version.Map.find_opt ver t.committed_writes
 
@@ -108,42 +139,49 @@ let newest_committed t =
   Option.map fst (Version.Map.max_binding_opt t.committed_writes)
 
 let prepare_read t ~reader ~eid ~r_ver =
-  Hashtbl.replace t.prepared_reads reader (eid, r_ver)
+  match t.prepared_reads with
+  | Some h -> Hashtbl.replace h reader (eid, r_ver)
+  | None -> t.prepared_reads <- singleton reader (eid, r_ver)
 
-let prepare_write t ~ver ~eid = Hashtbl.replace t.prepared_writes ver eid
+let prepare_write t ~ver ~eid =
+  match t.prepared_writes with
+  | Some h -> Hashtbl.replace h ver eid
+  | None -> t.prepared_writes <- singleton ver eid
 
 let unprepare t ~ver ~eid =
-  (match Hashtbl.find_opt t.prepared_reads ver with
-   | Some (e, _) when e = eid -> Hashtbl.remove t.prepared_reads ver
+  (match find_opt t.prepared_reads ver with
+   | Some (e, _) when e = eid -> remove t.prepared_reads ver
    | Some _ | None -> ());
-  match Hashtbl.find_opt t.prepared_writes ver with
-  | Some e when e = eid -> Hashtbl.remove t.prepared_writes ver
+  match find_opt t.prepared_writes ver with
+  | Some e when e = eid -> remove t.prepared_writes ver
   | Some _ | None -> ()
 
 let unprepare_all t ~ver =
-  Hashtbl.remove t.prepared_reads ver;
-  Hashtbl.remove t.prepared_writes ver
+  remove t.prepared_reads ver;
+  remove t.prepared_writes ver
 
 let commit_write t ~ver value =
   t.committed_writes <- Version.Map.add ver value t.committed_writes;
   t.uncommitted_writes <- Version.Map.remove ver t.uncommitted_writes;
-  Hashtbl.remove t.prepared_writes ver
+  remove t.prepared_writes ver
 
 let commit_read t ~reader ~r_ver =
-  Hashtbl.replace t.committed_reads reader r_ver;
-  Hashtbl.remove t.prepared_reads reader;
-  Hashtbl.remove t.reads reader
+  (match t.committed_reads with
+   | Some h -> Hashtbl.replace h reader r_ver
+   | None -> t.committed_reads <- singleton reader r_ver);
+  remove t.prepared_reads reader;
+  remove t.reads reader
 
 let abort_writes t ~ver =
   t.uncommitted_writes <- Version.Map.remove ver t.uncommitted_writes;
-  Hashtbl.remove t.prepared_writes ver
+  remove t.prepared_writes ver
 
 let remove_read t reader =
-  Hashtbl.remove t.reads reader;
-  Hashtbl.remove t.prepared_reads reader
+  remove t.reads reader;
+  remove t.prepared_reads reader
 
 let reads_missing_version t ~ver value =
-  Hashtbl.fold
+  fold
     (fun _ r acc ->
       let missed =
         Version.compare ver r.reader < 0
@@ -155,17 +193,17 @@ let reads_missing_version t ~ver value =
     t.reads []
 
 let reads_observing t ver =
-  Hashtbl.fold
+  fold
     (fun _ r acc -> if Version.equal r.last.r_ver ver then r :: acc else acc)
     t.reads []
 
 let gc_below t watermark =
   let stale reader = Version.compare reader watermark < 0 in
   let to_remove =
-    Hashtbl.fold (fun reader _ acc -> if stale reader then reader :: acc else acc)
+    fold (fun reader _ acc -> if stale reader then reader :: acc else acc)
       t.committed_reads []
   in
-  List.iter (Hashtbl.remove t.committed_reads) to_remove;
+  List.iter (remove t.committed_reads) to_remove;
   (* Keep the newest committed write below the watermark (the key's
      current value as of the watermark): it is what any snapshot read at
      [snap >= watermark] observes, and what the below-watermark
@@ -183,14 +221,13 @@ let gc_below t watermark =
         t.committed_writes
 
 let stats t =
-  ( Hashtbl.length t.reads,
+  ( length t.reads,
     Version.Map.cardinal t.uncommitted_writes,
-    Hashtbl.length t.prepared_reads + Hashtbl.length t.prepared_writes,
+    length t.prepared_reads + length t.prepared_writes,
     Version.Map.cardinal t.committed_writes )
 
 let committed_writes_list t = Version.Map.bindings t.committed_writes
 
 let committed_reads_list t =
   List.sort compare
-    (Hashtbl.fold (fun reader r_ver acc -> (reader, r_ver) :: acc)
-       t.committed_reads [])
+    (fold (fun reader r_ver acc -> (reader, r_ver) :: acc) t.committed_reads [])

@@ -12,7 +12,14 @@
 
     All mutation happens from a replica's message handlers, which the
     simulator runs atomically — the multi-threaded locking of the real
-    implementation is implicit. *)
+    implementation is implicit.
+
+    A fresh record is one small block: the tables of uncommitted,
+    prepared and committed reads and of prepared writes are each
+    allocated by their first insert, so the many keys a run never reads
+    or prepares cost no tables.  Until then every query behaves as on
+    an empty table, and afterwards a table iterates in the same order
+    as one built with the record. *)
 
 module Version = Cc_types.Version
 

@@ -135,6 +135,44 @@ let test_morty_beats_mvtso_commit_rate_under_contention () =
   Alcotest.(check bool) "morty re-executes" true
     (m.Harness.Stats.r_reexecs_per_txn > 0.)
 
+(* Words allocated from entering [run_exp] to its [?faults] callback,
+   which the runner calls after building the cluster, loading the data
+   and creating the clients.  Counts minor allocations and direct major
+   ones (a large Zipf table goes straight to the major heap).  The minor
+   count comes from [Gc.minor_words]: [Gc.counters]' own minor figure
+   drifts with the timing of minor collections. *)
+let setup_words e =
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let at_faults = ref nan in
+  let w0 = words () in
+  ignore (Harness.Run.run_exp ~faults:(fun _ -> at_faults := words ()) e);
+  !at_faults -. w0
+
+(* Set-up grows with the run, not with clients x keys: the clients of a
+   run share one Zipf table.  Each extra client costs under a thousand
+   words, far below one 50 000-entry table apiece. *)
+let test_setup_scales_with_run () =
+  let n_keys = 50_000 in
+  let exp clients =
+    {
+      Harness.Run.default_exp with
+      e_workload =
+        Harness.Run.Ycsb { Workload.Ycsb.default_conf with n_keys };
+      e_clients = clients;
+      e_warmup_us = 0;
+      e_measure_us = 1_000;
+    }
+  in
+  let one = setup_words (exp 1) in
+  let extra = setup_words (exp 48) -. one in
+  Alcotest.(check bool)
+    (Printf.sprintf "47 extra clients: %.0f words (bound %d)" extra (5 * n_keys))
+    true
+    (extra < float_of_int (5 * n_keys))
+
 (* Cross-revision oracle for the runner: every system x workload x
    {fault-free, one kill/restart, follower reads} on a small config,
    printed as the result's CSV row (all of it deterministic) plus
@@ -272,6 +310,8 @@ let suites =
       [
         Alcotest.test_case "deterministic" `Quick test_run_deterministic;
         Alcotest.test_case "seed sensitivity" `Quick test_run_seed_sensitivity;
+        Alcotest.test_case "set-up scales with the run" `Quick
+          test_setup_scales_with_run;
         Alcotest.test_case "all systems run retwis" `Slow test_all_systems_produce_goodput;
         Alcotest.test_case "all systems run tpcc" `Slow test_tpcc_exp_runs_on_all_systems;
         Alcotest.test_case "find peak" `Slow test_find_peak;

@@ -90,17 +90,12 @@ let n_rows = ref 0
 
 let n_events = ref 0
 
-let engine_stats_out = ref None
-
-let agg_engstat = ref (Obs.Engstat.zero ~label:"bench")
-
 let show r =
   incr n_rows;
   let ev = r.Stats.r_events in
   n_events :=
     !n_events + ev.Stats.ev_timers + ev.Stats.ev_deliveries
     + ev.Stats.ev_tickers;
-  agg_engstat := Obs.Engstat.add !agg_engstat r.Stats.r_engstat;
   Fmt.pr "%a@." Stats.pp_result r;
   match !csv_channel with
   | Some oc ->
@@ -462,9 +457,8 @@ let smallbank () =
 (* deterministic section (goodput, latency percentiles, commit/abort/  *)
 (* re-exec counters, engine event + heap counters, lineage digest,     *)
 (* profile fractions) is a pure function of the simulated schedule —   *)
-(* byte-identical across hosts and --jobs.  The host section           *)
-(* (events/sec, wall, GC) is machine-dependent, so it is reported but  *)
-(* never gated; perfbench measures host speed.                         *)
+(* byte-identical across hosts and --jobs.  perfbench measures host    *)
+(* speed.                                                              *)
 (*                                                                     *)
 (* `bench-check FILE` rebuilds a fresh ledger with the same seed set   *)
 (* and compares it against FILE with bootstrap confidence intervals    *)
@@ -520,7 +514,6 @@ let ledger_row sys seed =
   let prof = Obs.Profile.create ~label:(Run.system_name sys) () in
   let lineage = Obs.Lineage.create ~label:(Run.system_name sys) () in
   let r = Run.run_exp ~prof ~lineage (gate_exp sys seed) in
-  let det, host = Stats.ledger_metrics r in
   let w = Obs.Profile.waste prof in
   let frac a b = if b = 0 then 0. else float_of_int a /. float_of_int b in
   let agg = Obs.Profile.decomposition prof in
@@ -534,19 +527,15 @@ let ledger_row sys seed =
   in
   let backoff = comp_sum Obs.Profile.C_backoff in
   let idle = backoff + comp_sum Obs.Profile.C_proto in
-  let det =
-    det
-    @ [
-        ("useful_frac", frac w.Obs.Profile.w_useful_us w.Obs.Profile.w_total_us);
-        ( "salvaged_frac",
-          frac w.Obs.Profile.w_salvaged_us w.Obs.Profile.w_total_us );
-        ( "discarded_frac",
-          frac w.Obs.Profile.w_discarded_us w.Obs.Profile.w_total_us );
-        ("backoff_frac", frac backoff latency_sum);
-        ("idle_frac", frac idle latency_sum);
-      ]
-  in
-  (det, host)
+  Stats.ledger_metrics r
+  @ [
+      ("useful_frac", frac w.Obs.Profile.w_useful_us w.Obs.Profile.w_total_us);
+      ("salvaged_frac", frac w.Obs.Profile.w_salvaged_us w.Obs.Profile.w_total_us);
+      ( "discarded_frac",
+        frac w.Obs.Profile.w_discarded_us w.Obs.Profile.w_total_us );
+      ("backoff_frac", frac backoff latency_sum);
+      ("idle_frac", frac idle latency_sum);
+    ]
 
 let build_ledger () =
   let seeds = seed_set () in
@@ -569,19 +558,7 @@ let build_ledger () =
             (fun (s, row) -> if s = name then Some row else None)
             rows
         in
-        let names sel = match mine with r :: _ -> List.map fst (sel r) | [] -> [] in
-        let collect sel =
-          List.map
-            (fun m ->
-              (m, Array.of_list (List.map (fun r -> List.assoc m (sel r)) mine)))
-            (names sel)
-        in
-        {
-          Obs.Ledger.en_system = name;
-          en_point = ledger_point;
-          en_det = collect fst;
-          en_host = collect snd;
-        })
+        Obs.Ledger.entry ~system:name ~point:ledger_point mine)
       Run.all_systems
   in
   Obs.Ledger.make ~config:(ledger_config ()) ~seeds ~describe:(git_describe ())
@@ -726,12 +703,11 @@ let usage () =
     \  --jobs N               fan points over N worker domains (0 = auto)\n\
     \  --seeds N              ledger seed-set size (default 5)\n\
     \  --seed-base N          first seed of the set (default 42; also the\n\
-    \                         seed of every table/figure point)\n\
-    \  --engine-stats-out P   write the engine-performance JSON to P\n"
+    \                         seed of every table/figure point)\n"
 
-(* Strip --jobs N / --jobs=N, --seeds N, --seed-base N and
-   --engine-stats-out PATH from the argv target list, setting the
-   matching globals; everything else dispatches as before. *)
+(* Strip --jobs N / --jobs=N, --seeds N and --seed-base N from the argv
+   target list, setting the matching globals; everything else
+   dispatches as before.  A malformed value is a usage error (exit 2). *)
 let rec parse_flags acc = function
   | [] -> List.rev acc
   | "--jobs" :: n :: rest -> set_jobs n; parse_flags acc rest
@@ -744,26 +720,18 @@ let rec parse_flags acc = function
   | "--seed-base" :: n :: rest ->
     set_int "--seed-base" seed_base n;
     parse_flags acc rest
-  | "--engine-stats-out" :: path :: rest ->
-    engine_stats_out := Some path;
-    parse_flags acc rest
-  | arg :: rest
-    when String.length arg > 19
-         && String.sub arg 0 19 = "--engine-stats-out=" ->
-    engine_stats_out := Some (String.sub arg 19 (String.length arg - 19));
-    parse_flags acc rest
   | t :: rest -> parse_flags (t :: acc) rest
 
 and set_jobs s =
-  match int_of_string_opt s with
-  | Some 0 -> jobs := Orchestrate.Pool.default_jobs ()
-  | Some n -> jobs := max 1 n
-  | None -> Fmt.epr "bad --jobs value %S (want an integer)@." s
+  set_int "--jobs" jobs s;
+  jobs := if !jobs = 0 then Orchestrate.Pool.default_jobs () else max 1 !jobs
 
 and set_int flag r s =
   match int_of_string_opt s with
   | Some n -> r := n
-  | None -> Fmt.epr "bad %s value %S (want an integer)@." flag s
+  | None ->
+    Fmt.epr "bad %s value %S (want an integer)@." flag s;
+    exit 2
 
 let () =
   let elapsed = Orchestrate.Report.stopwatch () in
@@ -804,37 +772,6 @@ let () =
     | ts -> ts
   in
   go targets;
-  (* Engine-performance record for the whole invocation: deterministic
-     section on stdout, host section on stderr, JSON to the requested
-     file.  Pool utilization must be read before shutdown. *)
-  (match !engine_stats_out with
-  | None -> ()
-  | Some path ->
-    let es = Obs.Engstat.relabel !agg_engstat "bench" in
-    let es =
-      match !pool with
-      | None -> es
-      | Some p ->
-        let domains =
-          List.map
-            (fun (d : Orchestrate.Pool.domain_stat) ->
-              {
-                Obs.Engstat.dl_domain = d.ds_domain;
-                dl_tasks = d.ds_tasks;
-                dl_steals = d.ds_steals;
-                dl_busy_ns = d.ds_busy_ns;
-                dl_idle_ns = d.ds_idle_ns;
-              })
-            (Orchestrate.Pool.stats p)
-        in
-        Obs.Engstat.with_domains es ~domains
-          ~merge_high_water:(Orchestrate.Pool.merge_high_water p)
-    in
-    Fmt.pr "%s@." (Obs.Engstat.det_line es);
-    Fmt.epr "%s@." (Obs.Engstat.host_line es);
-    let oc = open_out path in
-    output_string oc (Obs.Engstat.to_json es);
-    close_out oc);
   Option.iter Orchestrate.Pool.shutdown !pool;
   (* Throughput report on stderr only: stdout carries the tables,
      figures and baseline verdicts and must not depend on --jobs. *)

@@ -132,57 +132,41 @@ let max_staleness_us =
                  availability row after the result.")
 
 let trace_out =
-  Arg.(value & opt (some string) None
-       & info [ "trace-out" ]
-           ~doc:"Write a per-transaction span trace (Chrome trace_event JSON, \
-                 loadable in Perfetto / chrome://tracing) to $(docv).  With \
-                 --sweep, the last point's trace wins." ~docv:"FILE")
+  Out_flags.trace_out
+    "Write a per-transaction span trace (Chrome trace_event JSON, \
+     loadable in Perfetto / chrome://tracing) to $(docv).  With \
+     --sweep, the last point's trace wins."
 
 let metrics_out =
-  Arg.(value & opt (some string) None
-       & info [ "metrics-out" ]
-           ~doc:"Write per-replica time-series samples (CPU busy fraction, \
-                 queue depth, record/store sizes, watermark lag on a 10 ms \
-                 virtual ticker) as CSV to $(docv)." ~docv:"FILE")
+  Out_flags.path_opt "metrics-out" ~docv:"FILE"
+    "Write per-replica time-series samples (CPU busy fraction, \
+     queue depth, record/store sizes, watermark lag on a 10 ms \
+     virtual ticker) as CSV to $(docv)."
 
 let profile_out =
-  Arg.(value & opt (some string) None
-       & info [ "profile-out" ]
-           ~doc:"Write the critical-path profile (per-transaction latency \
-                 decomposition, wasted-work account, key-contention heatmap) \
-                 as single-line JSON to $(docv), and print a human summary.  \
-                 With --sweep, one JSON document per line, one per point." ~docv:"FILE")
+  Out_flags.profile_out
+    "Write the critical-path profile (per-transaction latency \
+     decomposition, wasted-work account, key-contention heatmap) \
+     as single-line JSON to $(docv), and print a human summary.  \
+     With --sweep, one JSON document per line, one per point."
 
 let lineage_out =
-  Arg.(value & opt (some string) None
-       & info [ "lineage-out" ]
-           ~doc:"Write the run's causal lineage (JSONL, one transaction per \
-                 line: reads with superseding writers, re-execution triggers \
-                 with aggressor transactions, typed abort blame) to $(docv) \
-                 and print a one-line digest on stderr.  Feed the file to \
-                 $(b,morty_inspect) to explain contention.  With --sweep, \
-                 points append in order.  Stdout is byte-identical with or \
-                 without this flag." ~docv:"FILE")
-
-let engine_stats_out =
-  Arg.(value & opt (some string) None
-       & info [ "engine-stats-out" ]
-           ~doc:"Write the run's engine-performance record (events/sec, \
-                 timer-heap counters, GC deltas, domain utilization) as \
-                 single-line JSON to $(docv), print its deterministic \
-                 summary ($(b,engine:) line) on stdout and its host summary \
-                 ($(b,engine-host:) line) on stderr.  With --sweep the \
-                 record aggregates all points.  The deterministic section \
-                 is byte-identical across hosts and --jobs values." ~docv:"FILE")
+  Out_flags.lineage_out
+    "Write the run's causal lineage (JSONL, one transaction per \
+     line: reads with superseding writers, re-execution triggers \
+     with aggressor transactions, typed abort blame) to $(docv) \
+     and print a one-line digest on stderr.  Feed the file to \
+     $(b,morty_inspect) to explain contention.  With --sweep, \
+     points append in order.  Stdout is byte-identical with or \
+     without this flag."
 
 let ledger_out =
-  Arg.(value & opt (some string) None
-       & info [ "ledger-out" ]
-           ~doc:"Write the run as a schema-versioned run ledger (one entry \
-                 per point, single-seed samples) to $(docv).  Feed the file \
-                 to $(b,morty_report) to compare runs statistically or plot \
-                 metric trajectories.  Stdout is byte-identical with or \
-                 without this flag." ~docv:"FILE")
+  Out_flags.ledger_out
+    "Write the run as a schema-versioned run ledger (one entry \
+     per point, single-seed samples) to $(docv).  Feed the file \
+     to $(b,morty_report) to compare runs statistically or plot \
+     metric trajectories.  Stdout is byte-identical with or \
+     without this flag."
 
 let monitors =
   Arg.(value & flag
@@ -193,20 +177,18 @@ let monitors =
                  with or without them.")
 
 let postmortem_out =
-  Arg.(value & opt (some string) None
-       & info [ "postmortem-out" ]
-           ~doc:"If the run records any incident (monitor violation or \
-                 replica kill), write a post-mortem bundle (violations, \
-                 per-replica snapshots, flight-recorder ring, trace slice, \
-                 profile, metrics) to directory $(docv).  Implies \
-                 --monitors.  With --sweep, bundles go to $(docv), \
-                 $(docv).2, ... per point." ~docv:"DIR")
+  Out_flags.postmortem_out
+    "If the run records any incident (monitor violation or \
+     replica kill), write a post-mortem bundle (violations, \
+     per-replica snapshots, flight-recorder ring, trace slice, \
+     profile, metrics) to directory $(docv).  Implies \
+     --monitors.  With --sweep, bundles go to $(docv), \
+     $(docv).2, ... per point."
 
 let run system setup workload theta keys warehouses read_pct clients cores
     duration_ms warmup_ms seed sweep jobs kill_at_ms restart_at_ms victim
     partition_at_ms heal_at_ms partition_group max_staleness_us trace_out
-    metrics_out profile_out lineage_out engine_stats_out ledger_out monitors
-    postmortem_out =
+    metrics_out profile_out lineage_out ledger_out monitors postmortem_out =
   let e_workload =
     match workload with
     | `Retwis -> Harness.Run.Retwis { Workload.Retwis.n_keys = keys; theta }
@@ -264,18 +246,12 @@ let run system setup workload theta keys warehouses read_pct clients cores
                 (Sim.Engine.schedule_at ops.co_engine ~at:(heal_ms * 1000)
                    (fun () -> ops.co_heal partition_group))))
   in
-  let write path s =
-    let oc = open_out path in
-    output_string oc s;
-    close_out oc
-  in
   let monitors = monitors || postmortem_out <> None in
   let profiles = Buffer.create 256 in
   let lineages = Buffer.create 256 in
   let ledger_rows = ref [] in
   let point_idx = ref 0 in
   let events = ref 0 in
-  let engstat = ref (Obs.Engstat.zero ~label:"bench") in
   (* Worker half of a point: build private observers, run the
      experiment.  Everything it creates travels back to the main domain
      as a read-only result — with --jobs this is the only code that
@@ -309,7 +285,6 @@ let run system setup workload theta keys warehouses read_pct clients cores
     events :=
       !events + ev.Harness.Stats.ev_timers + ev.Harness.Stats.ev_deliveries
       + ev.Harness.Stats.ev_tickers;
-    engstat := Obs.Engstat.add !engstat r.Harness.Stats.r_engstat;
     Fmt.pr "%a@." Harness.Stats.pp_result r;
     if r.Harness.Stats.r_recovery.Harness.Stats.rc_kills > 0 then
       Fmt.pr "%a@." Harness.Stats.pp_recovery r;
@@ -324,10 +299,7 @@ let run system setup workload theta keys warehouses read_pct clients cores
     end;
     (match postmortem_out with
     | Some base when Obs.Monitor.first_incident_ts mon <> None ->
-      let dir =
-        if !point_idx = 0 then base
-        else Printf.sprintf "%s.%d" base (!point_idx + 1)
-      in
+      let dir = Out_flags.numbered base !point_idx in
       let reason =
         if Obs.Monitor.n_violations mon > 0 then "monitor-violation"
         else "replica-kill"
@@ -348,8 +320,8 @@ let run system setup workload theta keys warehouses read_pct clients cores
       Fmt.pr "post-mortem bundle written to %s/@." dir
     | Some _ | None -> ());
     incr point_idx;
-    Option.iter (fun path -> write path (Obs.Trace.to_json obs)) trace_out;
-    Option.iter (fun path -> write path (Obs.Metrics.to_csv obs)) metrics_out;
+    Option.iter (fun p -> Out_flags.write p (Obs.Trace.to_json obs)) trace_out;
+    Option.iter (fun p -> Out_flags.write p (Obs.Metrics.to_csv obs)) metrics_out;
     if profile_out <> None then begin
       (* [to_json] is newline-terminated: with --sweep the file is one
          JSON document per line, one per point. *)
@@ -359,15 +331,14 @@ let run system setup workload theta keys warehouses read_pct clients cores
     if lineage_out <> None then begin
       Buffer.add_string lineages (Obs.Lineage.to_jsonl lineage);
       (* Digest on stderr: stdout stays byte-identical with or without
-         the recorder (the lineage-smoke alias diffs it). *)
+         the recorder. *)
       Fmt.epr "%a@." Obs.Lineage.pp_summary lineage
     end;
-    if ledger_out <> None then begin
-      let det, host = Harness.Stats.ledger_metrics r in
+    if ledger_out <> None then
       ledger_rows :=
-        (Printf.sprintf "c=%d" e.Harness.Run.e_clients, det, host)
+        (Printf.sprintf "c=%d" e.Harness.Run.e_clients,
+         Harness.Stats.ledger_metrics r)
         :: !ledger_rows
-    end
   in
   Fmt.pr "%a@." Harness.Stats.pp_result_header ();
   let exps =
@@ -377,7 +348,6 @@ let run system setup workload theta keys warehouses read_pct clients cores
   in
   let jobs = if jobs = 0 then Orchestrate.Pool.default_jobs () else max 1 jobs in
   let elapsed = Orchestrate.Report.stopwatch () in
-  let pool_domains = ref [] and pool_merge_hwm = ref 0 in
   (if jobs <= 1 then
      (* Ground-truth serial path: compute and render interleave exactly
         as they always have. *)
@@ -390,22 +360,10 @@ let run system setup workload theta keys warehouses read_pct clients cores
          ignore
            (Orchestrate.Pool.map pool
               ~on_ready:(fun _i p -> render_point p)
-              compute_point exps);
-         pool_domains :=
-           List.map
-             (fun (d : Orchestrate.Pool.domain_stat) ->
-               {
-                 Obs.Engstat.dl_domain = d.ds_domain;
-                 dl_tasks = d.ds_tasks;
-                 dl_steals = d.ds_steals;
-                 dl_busy_ns = d.ds_busy_ns;
-                 dl_idle_ns = d.ds_idle_ns;
-               })
-             (Orchestrate.Pool.stats pool);
-         pool_merge_hwm := Orchestrate.Pool.merge_high_water pool)
+              compute_point exps))
    end);
-  Option.iter (fun path -> write path (Buffer.contents profiles)) profile_out;
-  Option.iter (fun path -> write path (Buffer.contents lineages)) lineage_out;
+  Option.iter (fun p -> Out_flags.write p (Buffer.contents profiles)) profile_out;
+  Option.iter (fun p -> Out_flags.write p (Buffer.contents lineages)) lineage_out;
   (match ledger_out with
   | None -> ()
   | Some path ->
@@ -415,13 +373,7 @@ let run system setup workload theta keys warehouses read_pct clients cores
     let sys_name = Harness.Run.system_name system in
     let entries =
       List.rev_map
-        (fun (point, det, host) ->
-          {
-            Obs.Ledger.en_system = sys_name;
-            en_point = point;
-            en_det = List.map (fun (m, v) -> (m, [| v |])) det;
-            en_host = List.map (fun (m, v) -> (m, [| v |])) host;
-          })
+        (fun (point, row) -> Obs.Ledger.entry ~system:sys_name ~point [ row ])
         !ledger_rows
     in
     let config =
@@ -441,22 +393,8 @@ let run system setup workload theta keys warehouses read_pct clients cores
         | Some counts -> String.concat "," (List.map string_of_int counts))
         cores duration_ms warmup_ms
     in
-    write path (Obs.Ledger.to_json (Obs.Ledger.make ~config ~seeds:[ seed ] entries)));
-  (match engine_stats_out with
-  | None -> ()
-  | Some path ->
-    let es =
-      let base = Obs.Engstat.relabel !engstat "bench" in
-      if !pool_domains = [] then base
-      else
-        Obs.Engstat.with_domains base ~domains:!pool_domains
-          ~merge_high_water:!pool_merge_hwm
-    in
-    (* Deterministic section on stdout (jobs-invariant, diffable); the
-       wall/GC/utilization summary goes to stderr with the report. *)
-    Fmt.pr "%s@." (Obs.Engstat.det_line es);
-    Fmt.epr "%s@." (Obs.Engstat.host_line es);
-    write path (Obs.Engstat.to_json es));
+    Out_flags.write path
+      (Obs.Ledger.to_json (Obs.Ledger.make ~config ~seeds:[ seed ] entries)));
   (* Throughput report on stderr only: stdout is the diff surface. *)
   Fmt.epr "%s@."
     (Orchestrate.Report.to_string
@@ -476,7 +414,7 @@ let cmd =
       $ read_pct $ clients $ cores $ duration_ms $ warmup_ms $ seed $ sweep
       $ jobs $ kill_at_ms $ restart_at_ms $ victim $ partition_at_ms
       $ heal_at_ms $ partition_group $ max_staleness_us $ trace_out
-      $ metrics_out $ profile_out $ lineage_out $ engine_stats_out $ ledger_out
-      $ monitors $ postmortem_out)
+      $ metrics_out $ profile_out $ lineage_out $ ledger_out $ monitors
+      $ postmortem_out)
 
 let () = exit (Cmd.eval cmd)

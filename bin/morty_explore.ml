@@ -142,64 +142,46 @@ let scaling =
                  byte-identical by construction)." ~docv:"JOBS")
 
 let trace_out =
-  Arg.(value & opt (some string) None
-       & info [ "trace-out" ]
-           ~doc:"Write each audit failure's span trace (Chrome trace_event \
-                 JSON of the shrunk reproducer's run, Perfetto-loadable) to \
-                 $(docv), $(docv).2, ... in failure order." ~docv:"FILE")
+  Out_flags.trace_out
+    "Write each audit failure's span trace (Chrome trace_event \
+     JSON of the shrunk reproducer's run, Perfetto-loadable) to \
+     $(docv), $(docv).2, ... in failure order."
 
 let profile_out =
-  Arg.(value & opt (some string) None
-       & info [ "profile-out" ]
-           ~doc:"Write each audit failure's critical-path profile (JSON, \
-                 latency decomposition + wasted work + hot keys of the shrunk \
-                 reproducer's run) to $(docv), $(docv).2, ... in failure \
-                 order." ~docv:"FILE")
-
-let engine_stats_out =
-  Arg.(value & opt (some string) None
-       & info [ "engine-stats-out" ]
-           ~doc:"Write the sweep's aggregated engine-performance record \
-                 (events/sec, timer-heap counters, GC deltas, domain \
-                 utilization) as single-line JSON to $(docv), print its \
-                 deterministic summary ($(b,engine:) line) after the SUMMARY \
-                 line and its host summary ($(b,engine-host:) line) on \
-                 stderr.  The deterministic section is byte-identical across \
-                 hosts and --jobs values; with --scaling it reflects the \
-                 first sweep only." ~docv:"FILE")
+  Out_flags.profile_out
+    "Write each audit failure's critical-path profile (JSON, \
+     latency decomposition + wasted work + hot keys of the shrunk \
+     reproducer's run) to $(docv), $(docv).2, ... in failure \
+     order."
 
 let lineage_out =
-  Arg.(value & opt (some string) None
-       & info [ "lineage-out" ]
-           ~doc:"Write each audit failure's causal lineage (JSONL, one \
-                 transaction per line: reads, re-execution triggers with \
-                 aggressors, typed abort blame — of the shrunk reproducer's \
-                 run) to $(docv), $(docv).2, ... in failure order.  Feed to \
-                 $(b,morty_inspect) to ask why a transaction aborted." ~docv:"FILE")
+  Out_flags.lineage_out
+    "Write each audit failure's causal lineage (JSONL, one \
+     transaction per line: reads, re-execution triggers with \
+     aggressors, typed abort blame — of the shrunk reproducer's \
+     run) to $(docv), $(docv).2, ... in failure order.  Feed to \
+     $(b,morty_inspect) to ask why a transaction aborted."
 
 let postmortem_out =
-  Arg.(value & opt (some string) None
-       & info [ "postmortem-out" ]
-           ~doc:"Write each failure's post-mortem bundle (violations, \
-                 per-replica snapshots, flight-recorder ring, trace slice, \
-                 profile, metrics) to directory $(docv), $(docv).2, ... in \
-                 failure order, next to the printed reproducer." ~docv:"DIR")
+  Out_flags.postmortem_out
+    "Write each failure's post-mortem bundle (violations, \
+     per-replica snapshots, flight-recorder ring, trace slice, \
+     profile, metrics) to directory $(docv), $(docv).2, ... in \
+     failure order, next to the printed reproducer."
 
 let ledger_out =
-  Arg.(value & opt (some string) None
-       & info [ "ledger-out" ]
-           ~doc:"Write the sweep's passing runs as a schema-versioned run \
-                 ledger to $(docv): one entry per system, every metric a \
-                 sample array across the system's runs (seeds x schedules, \
-                 submission order).  Feed the file to $(b,morty_report) to \
-                 compare sweeps statistically.  Stdout is byte-identical \
-                 with or without this flag; with --scaling it reflects the \
-                 first sweep only." ~docv:"FILE")
+  Out_flags.ledger_out
+    "Write the sweep's passing runs as a schema-versioned run \
+     ledger to $(docv): one entry per system, every metric a \
+     sample array across the system's runs (seeds x schedules, \
+     submission order).  Feed the file to $(b,morty_report) to \
+     compare sweeps statistically.  Stdout is byte-identical \
+     with or without this flag; with --scaling it reflects the \
+     first sweep only."
 
 let run systems workload_names seeds seed_base schedules episodes clients cores
     measure_ms smoke no_kill partitions max_staleness_us monitors quiet jobs
-    scaling trace_out profile_out lineage_out engine_stats_out ledger_out
-    postmortem_out =
+    scaling trace_out profile_out lineage_out ledger_out postmortem_out =
   let measure_us = if smoke then 200_000 else measure_ms * 1000 in
   let cfg =
     {
@@ -287,9 +269,8 @@ let run systems workload_names seeds seed_base schedules episodes clients cores
   let collect_ledger case _prof outcome =
     match outcome with
     | Ok r when ledger_out <> None ->
-      let det, host = Harness.Stats.ledger_metrics r in
       ledger_rows :=
-        (Harness.Run.system_name case.Explore.Case.c_system, det, host)
+        (case.Explore.Case.c_system, Harness.Stats.ledger_metrics r)
         :: !ledger_rows
     | Ok _ | Error _ -> ()
   in
@@ -324,14 +305,6 @@ let run systems workload_names seeds seed_base schedules episodes clients cores
         } )
     | [] -> assert false
   in
-  let numbered base i =
-    if i = 0 then base else Printf.sprintf "%s.%d" base (i + 1)
-  in
-  let write path s =
-    let oc = open_out path in
-    output_string oc s;
-    close_out oc
-  in
   List.iteri
     (fun i
          { Explore.Sweep.f_original; f_shrunk; f_trace; f_profile; f_lineage;
@@ -347,38 +320,29 @@ let run systems workload_names seeds seed_base schedules episodes clients cores
       (match trace_out with
       | None -> ()
       | Some base ->
-        let path = numbered base i in
-        write path f_trace;
+        let path = Out_flags.numbered base i in
+        Out_flags.write path f_trace;
         Fmt.pr "trace of shrunk case written to %s@." path);
       (match profile_out with
       | None -> ()
       | Some base ->
-        let path = numbered base i in
-        write path f_profile;
+        let path = Out_flags.numbered base i in
+        Out_flags.write path f_profile;
         Fmt.pr "profile of shrunk case written to %s@." path);
       (match lineage_out with
       | None -> ()
       | Some base ->
-        let path = numbered base i in
-        write path f_lineage;
+        let path = Out_flags.numbered base i in
+        Out_flags.write path f_lineage;
         Fmt.pr "lineage of shrunk case written to %s@." path);
       match postmortem_out with
       | None -> ()
       | Some base ->
-        let dir = numbered base i in
+        let dir = Out_flags.numbered base i in
         Obs.Postmortem.write ~dir f_bundle;
         Fmt.pr "post-mortem bundle of shrunk case written to %s/@." dir)
     summary.Explore.Sweep.s_failures;
   Fmt.pr "SUMMARY %a@." Explore.Sweep.pp_summary summary;
-  (match engine_stats_out with
-  | None -> ()
-  | Some path ->
-    let es = summary.Explore.Sweep.s_engstat in
-    (* Deterministic section on stdout (jobs-invariant, diffable); the
-       wall/GC/utilization summary goes to stderr with the report. *)
-    Fmt.pr "%s@." (Obs.Engstat.det_line es);
-    Fmt.epr "%s@." (Obs.Engstat.host_line es);
-    write path (Obs.Engstat.to_json es));
   (match ledger_out with
   | None -> ()
   | Some path ->
@@ -386,30 +350,19 @@ let run systems workload_names seeds seed_base schedules episodes clients cores
     let entries =
       List.filter_map
         (fun sys ->
-          let name = Harness.Run.system_name sys in
           let mine =
             List.filter_map
-              (fun (s, det, host) -> if s = name then Some (det, host) else None)
+              (fun (s, row) -> if s = sys then Some row else None)
               rows
           in
           match mine with
           | [] -> None
-          | first :: _ ->
-            let collect sel =
-              List.map
-                (fun (m, _) ->
-                  ( m,
-                    Array.of_list
-                      (List.map (fun row -> List.assoc m (sel row)) mine) ))
-                (sel first)
-            in
+          | mine ->
             Some
-              {
-                Obs.Ledger.en_system = name;
-                en_point = String.concat "," workload_names;
-                en_det = collect fst;
-                en_host = collect snd;
-              })
+              (Obs.Ledger.entry
+                 ~system:(Harness.Run.system_name sys)
+                 ~point:(String.concat "," workload_names)
+                 mine))
         systems
     in
     let config =
@@ -423,7 +376,7 @@ let run systems workload_names seeds seed_base schedules episodes clients cores
         cfg.Explore.Sweep.partitions cfg.Explore.Sweep.max_staleness_us
         (String.concat "," (List.map Harness.Run.system_name systems))
     in
-    write path
+    Out_flags.write path
       (Obs.Ledger.to_json
          (Obs.Ledger.make ~config ~seeds:cfg.Explore.Sweep.seeds entries)));
   Fmt.epr "%s@." (Orchestrate.Report.to_string report);
@@ -447,7 +400,6 @@ let cmd =
       const run $ systems $ workloads $ seeds $ seed_base $ schedules $ episodes
       $ clients $ cores $ measure_ms $ smoke $ no_kill $ partitions
       $ max_staleness_us $ monitors $ quiet $ jobs $ scaling $ trace_out
-      $ profile_out $ lineage_out $ engine_stats_out $ ledger_out
-      $ postmortem_out)
+      $ profile_out $ lineage_out $ ledger_out $ postmortem_out)
 
 let () = exit (Cmd.eval' cmd)

@@ -6,9 +6,7 @@
                                               REGRESS)
      morty_report trajectory FILE ...         markdown history tables,
                                               one per metric, across
-                                              every given artifact (run
-                                              ledgers and the legacy
-                                              flat BENCH_*.json alike)
+                                              the given run ledgers
      morty_report explain BASE CUR SYS METRIC why one gate fired
      morty_report det FILE                    canonical deterministic
                                               projection (byte-diff
@@ -56,9 +54,8 @@ let det_cmd path = print_string (Obs.Ledger.det_json (load path))
 
 (* --- trajectory ---------------------------------------------------- *)
 
-(* One artifact column: per system, per metric, a rendered cell and a
-   sort key.  Ledger cells show mean±sd over the seed set; legacy flat
-   baselines (single-seed BENCH_*.json) show the bare value. *)
+(* One ledger column: per system, per metric, a rendered cell — mean±sd
+   over the seed set, or the bare value for a single seed. *)
 
 type column = {
   col_name : string;  (** file basename, the table column header *)
@@ -70,7 +67,8 @@ let num_cell v =
     Printf.sprintf "%.0f" v
   else Printf.sprintf "%.4g" v
 
-let ledger_column path (l : Obs.Ledger.t) =
+let read_column path =
+  let l = load path in
   let cells =
     List.concat_map
       (fun (e : Obs.Ledger.entry) ->
@@ -84,53 +82,10 @@ let ledger_column path (l : Obs.Ledger.t) =
                   (num_cell s.Obs.Bstats.sd)
             in
             ((e.Obs.Ledger.en_system, m), cell))
-          (e.Obs.Ledger.en_det @ e.Obs.Ledger.en_host))
+          e.Obs.Ledger.en_det)
       l.Obs.Ledger.entries
   in
   { col_name = Filename.basename path; col_cells = cells }
-
-let legacy_column path (j : Obs.Ledger.J.v) =
-  let cells =
-    match j with
-    | Obs.Ledger.J.Obj systems ->
-      List.concat_map
-        (fun (sys, v) ->
-          match v with
-          | Obs.Ledger.J.Obj metrics ->
-            List.filter_map
-              (fun (m, v) ->
-                match v with
-                | Obs.Ledger.J.Num x -> Some ((sys, m), num_cell x)
-                | _ -> None)
-              metrics
-          | _ -> [])
-        systems
-    | _ -> []
-  in
-  if cells = [] then begin
-    Printf.eprintf
-      "morty_report: %s: no numeric system metrics (not a bench artifact)\n"
-      path;
-    exit 4
-  end;
-  { col_name = Filename.basename path; col_cells = cells }
-
-let read_column path =
-  match Obs.Ledger.load path with
-  | Ok l -> ledger_column path l
-  | Error (Obs.Ledger.Missing_file _ as e) -> fail_ledger path e
-  | Error (Obs.Ledger.Schema _ as e) -> fail_ledger path e
-  | Error (Obs.Ledger.Empty | Obs.Ledger.Parse _) -> (
-    (* not a run ledger — try the legacy flat {"sys":{...}} shape *)
-    match In_channel.with_open_bin path In_channel.input_all with
-    | exception Sys_error msg ->
-      Printf.eprintf "morty_report: %s\n" msg;
-      exit 3
-    | "" -> fail_ledger path Obs.Ledger.Empty
-    | body -> (
-      match Obs.Ledger.J.parse body with
-      | Ok j -> legacy_column path j
-      | Error msg -> fail_ledger path (Obs.Ledger.Parse msg)))
 
 (* Stable union in first-appearance order. *)
 let union keys =

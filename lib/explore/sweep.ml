@@ -51,7 +51,6 @@ type summary = {
   s_committed : int;
   s_aborted : int;
   s_failures : failure list;
-  s_engstat : Obs.Engstat.t;
 }
 
 let case_of cfg system workload_name ~seed ~schedule =
@@ -176,7 +175,6 @@ let cases_of cfg =
 let run_serial ~progress cfg =
   let runs = ref 0 and passed = ref 0 in
   let committed = ref 0 and aborted = ref 0 in
-  let engstat = ref (Obs.Engstat.zero ~label:"sweep") in
   let failures = ref [] in
   List.iter
     (fun system ->
@@ -195,8 +193,7 @@ let run_serial ~progress cfg =
                 | Ok r ->
                   incr passed;
                   committed := !committed + r.Harness.Stats.r_committed;
-                  aborted := !aborted + r.Harness.Stats.r_aborted;
-                  engstat := Obs.Engstat.add !engstat r.Harness.Stats.r_engstat
+                  aborted := !aborted + r.Harness.Stats.r_aborted
                 | Error v -> failures := failure_of cfg case v :: !failures
               done)
             cfg.seeds)
@@ -208,7 +205,6 @@ let run_serial ~progress cfg =
     s_committed = !committed;
     s_aborted = !aborted;
     s_failures = List.rev !failures;
-    s_engstat = Obs.Engstat.relabel !engstat "sweep";
   }
 
 let run_parallel ~progress ~jobs cfg =
@@ -218,7 +214,6 @@ let run_parallel ~progress ~jobs cfg =
     (fun () ->
       let runs = ref 0 and passed = ref 0 in
       let committed = ref 0 and aborted = ref 0 in
-      let engstat = ref (Obs.Engstat.zero ~label:"sweep") in
       (* Phase 1: fan the audited runs out.  Each worker builds its own
          engine, RNG, profiler and monitors inside [Case.run]; progress
          fires on this domain in submission order, so transcripts are
@@ -232,8 +227,7 @@ let run_parallel ~progress ~jobs cfg =
             | Ok r ->
               incr passed;
               committed := !committed + r.Harness.Stats.r_committed;
-              aborted := !aborted + r.Harness.Stats.r_aborted;
-              engstat := Obs.Engstat.add !engstat r.Harness.Stats.r_engstat
+              aborted := !aborted + r.Harness.Stats.r_aborted
             | Error _ -> ())
           (fun case ->
             let prof = Obs.Profile.create ~label:(Case.label case) () in
@@ -253,31 +247,12 @@ let run_parallel ~progress ~jobs cfg =
               Some (failure_of ~batch:(pool_batch pool cfg) cfg case v))
           results
       in
-      (* Pool utilization and reorder-buffer depth cover the whole
-         sweep, shrink re-runs included, so read them last. *)
-      let domains =
-        List.map
-          (fun (d : Orchestrate.Pool.domain_stat) ->
-            {
-              Obs.Engstat.dl_domain = d.ds_domain;
-              dl_tasks = d.ds_tasks;
-              dl_steals = d.ds_steals;
-              dl_busy_ns = d.ds_busy_ns;
-              dl_idle_ns = d.ds_idle_ns;
-            })
-          (Orchestrate.Pool.stats pool)
-      in
       {
         s_runs = !runs;
         s_passed = !passed;
         s_committed = !committed;
         s_aborted = !aborted;
         s_failures = failures;
-        s_engstat =
-          Obs.Engstat.with_domains
-            (Obs.Engstat.relabel !engstat "sweep")
-            ~domains
-            ~merge_high_water:(Orchestrate.Pool.merge_high_water pool);
       })
 
 let run ?(progress = fun _ _ _ -> ()) ?(jobs = 1) cfg =

@@ -73,12 +73,6 @@ type summary = {
   s_committed : int;  (** total committed transactions, all runs *)
   s_aborted : int;
   s_failures : failure list;
-  s_engstat : Obs.Engstat.t;
-      (** engine-performance record summed over the sweep's passing
-          runs (label ["sweep"]).  The deterministic section is
-          identical between serial and parallel sweeps; the parallel
-          sweep additionally attaches per-domain pool utilization and
-          the reorder-buffer high-water mark to the host section. *)
 }
 
 val case_of : config -> Harness.Run.system -> string -> seed:int -> schedule:Schedule.t -> Case.t

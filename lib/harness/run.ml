@@ -562,7 +562,6 @@ module Make (S : Stack) = struct
   let run ?cfg ?on_txn ?faults ?(obs = Obs.Sink.null ())
       ?(prof = Obs.Profile.null ()) ?(mon = Obs.Monitor.null ())
       ?(flight = Obs.Flight.null ()) ?(lineage = Obs.Lineage.null ()) e =
-    let probe = Obs.Engstat.start () in
     let engine = Engine.create () in
     let rng = Sim.Rng.create e.e_seed in
     let net = Simnet.Net.create engine (Sim.Rng.split rng) ~setup:e.e_setup () in
@@ -726,7 +725,7 @@ module Make (S : Stack) = struct
       ~cpu_utilization:cpu ~reexecs_per_txn:(S.reexecs_per_txn clients)
       ~msgs_per_txn ~events:(Taps.events_of_engine engine) ~recovery
       ?avail:(if e.e_max_staleness_us > 0 then Some (Avail.result av) else None)
-      ~engstat:(Taps.engstat_of_engine probe ~label:e.e_label engine)
+      ~engstat:(Taps.engstat_of_engine engine)
       ?lineage:
         (if Obs.Lineage.enabled lineage then
            Some (Obs.Lineage.summary (Obs.Lineage.records lineage))

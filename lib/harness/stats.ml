@@ -131,11 +131,9 @@ type result = {
 
 let to_result t ~label ~duration_us ~cpu_utilization ~reexecs_per_txn
     ?(msgs_per_txn = 0.) ?(events = no_events) ?(recovery = no_recovery)
-    ?(avail = no_avail) ?engstat ?(lineage = no_lineage) () =
+    ?(avail = no_avail) ?(engstat = Obs.Engstat.zero) ?(lineage = no_lineage)
+    () =
   let phase_ms p = Obs.Hist.mean t.phases.(phase_index p) /. 1000. in
-  let engstat =
-    match engstat with Some e -> e | None -> Obs.Engstat.zero ~label
-  in
   {
     r_label = label;
     r_committed = committed t;
@@ -168,45 +166,29 @@ let abort_count r reason =
    byte-diffed, so only ever append. *)
 let ledger_metrics r =
   let f = float_of_int in
-  let es = r.r_engstat in
-  let d = es.Obs.Engstat.es_det in
-  let hp = d.Obs.Engstat.de_heap in
+  let hp = r.r_engstat.Obs.Engstat.es_det.Obs.Engstat.de_heap in
   let li = r.r_lineage in
-  let g = es.Obs.Engstat.es_host.Obs.Engstat.ho_gc in
-  let det =
-    [
-      ("committed", f r.r_committed);
-      ("aborted", f r.r_aborted);
-      ("goodput", r.r_goodput);
-      ("p50_ms", r.r_p50_latency_ms);
-      ("p99_ms", r.r_p99_latency_ms);
-      ("commit_rate", r.r_commit_rate);
-      ("reexecs_per_txn", r.r_reexecs_per_txn);
-      ("msgs_per_txn", r.r_msgs_per_txn);
-      ("ev_timers", f r.r_events.ev_timers);
-      ("ev_deliveries", f r.r_events.ev_deliveries);
-      ("ev_tickers", f r.r_events.ev_tickers);
-      ("heap_pushes", f hp.Obs.Engstat.hp_pushes);
-      ("heap_pops", f hp.Obs.Engstat.hp_pops);
-      ("heap_cancels", f hp.Obs.Engstat.hp_cancels);
-      ("heap_max_live", f hp.Obs.Engstat.hp_max_live);
-      ("lin_cascades", f li.Obs.Lineage.s_cascades);
-      ("lin_depth_max", f li.Obs.Lineage.s_depth_max);
-      ("lin_salvaged_us", f li.Obs.Lineage.s_salvaged_us);
-      ("lin_lost_us", f li.Obs.Lineage.s_lost_us);
-    ]
-  in
-  let host =
-    [
-      ("events_per_s", Obs.Engstat.events_per_s es);
-      ("wall_s", f es.Obs.Engstat.es_host.Obs.Engstat.ho_wall_ns /. 1e9);
-      ("gc_minor_mwords", g.Obs.Engstat.gc_minor_words /. 1e6);
-      ("gc_major_mwords", g.Obs.Engstat.gc_major_words /. 1e6);
-      ("minor_gcs", f g.Obs.Engstat.gc_minor_collections);
-      ("major_gcs", f g.Obs.Engstat.gc_major_collections);
-    ]
-  in
-  (det, host)
+  [
+    ("committed", f r.r_committed);
+    ("aborted", f r.r_aborted);
+    ("goodput", r.r_goodput);
+    ("p50_ms", r.r_p50_latency_ms);
+    ("p99_ms", r.r_p99_latency_ms);
+    ("commit_rate", r.r_commit_rate);
+    ("reexecs_per_txn", r.r_reexecs_per_txn);
+    ("msgs_per_txn", r.r_msgs_per_txn);
+    ("ev_timers", f r.r_events.ev_timers);
+    ("ev_deliveries", f r.r_events.ev_deliveries);
+    ("ev_tickers", f r.r_events.ev_tickers);
+    ("heap_pushes", f hp.Obs.Engstat.hp_pushes);
+    ("heap_pops", f hp.Obs.Engstat.hp_pops);
+    ("heap_cancels", f hp.Obs.Engstat.hp_cancels);
+    ("heap_max_live", f hp.Obs.Engstat.hp_max_live);
+    ("lin_cascades", f li.Obs.Lineage.s_cascades);
+    ("lin_depth_max", f li.Obs.Lineage.s_depth_max);
+    ("lin_salvaged_us", f li.Obs.Lineage.s_salvaged_us);
+    ("lin_lost_us", f li.Obs.Lineage.s_lost_us);
+  ]
 
 let pp_result_header ppf () =
   Fmt.pf ppf "%-28s %10s %9s %9s %9s %7s %6s %7s %7s %8s %8s %8s %8s" "config"

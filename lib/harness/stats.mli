@@ -126,9 +126,8 @@ type result = {
   r_avail : avail;
       (** availability accounting; {!no_avail} when follower reads off *)
   r_engstat : Obs.Engstat.t;
-      (** engine-performance record for this run (timer-heap counters,
-          wall/GC/utilization); {!Obs.Engstat.zero} when the runner did
-          not collect one *)
+      (** engine event and timer-heap counters for this run;
+          {!Obs.Engstat.zero} when the runner did not collect them *)
   r_lineage : Obs.Lineage.summary;
       (** lineage digest (cascade depth, salvaged/lost work, hottest
           key); {!no_lineage} when no recorder was attached *)
@@ -152,15 +151,13 @@ val to_result :
 val abort_count : result -> Obs.Abort_reason.t -> int
 (** Counter for one taxonomy entry (0 if absent). *)
 
-val ledger_metrics : result -> (string * float) list * (string * float) list
-(** The run-ledger projection of a result: [(det, host)] metric lists
-    for one seed's run, in the fixed order {!Obs.Ledger} commits them.
-    [det] (goodput, latency percentiles, commit/abort/re-exec counters,
-    engine event + heap counters, lineage digest) is a pure function of
-    the simulated schedule — byte-identical across hosts and [--jobs].
-    [host] (events/sec, wall seconds, GC counters) is machine-dependent
-    and only ever gated statistically.  Lineage fields are all zero
-    when the run had no recorder attached. *)
+val ledger_metrics : result -> (string * float) list
+(** The run-ledger projection of a result: one seed's metrics, in the
+    fixed order {!Obs.Ledger} commits them — goodput, latency
+    percentiles, commit/abort/re-exec counters, engine event + heap
+    counters, lineage digest.  A pure function of the simulated
+    schedule: byte-identical across hosts and [--jobs].  Lineage fields
+    are all zero when the run had no recorder attached. *)
 
 val pp_result_header : Format.formatter -> unit -> unit
 

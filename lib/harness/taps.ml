@@ -85,12 +85,10 @@ let events_of_engine engine =
     ev_tickers = k.Engine.k_ticker;
   }
 
-(* Close an engine-performance probe over a finished run: the engine's
-   deterministic counters plus the probe's wall/GC deltas. *)
-let engstat_of_engine probe ~label engine =
+let engstat_of_engine engine =
   let k = Engine.events_by_kind engine in
   let h = Engine.heap_stats engine in
-  Obs.Engstat.finish probe ~label ~timers:k.Engine.k_timer
+  Obs.Engstat.make ~timers:k.Engine.k_timer
     ~deliveries:k.Engine.k_delivery ~tickers:k.Engine.k_ticker
     ~heap:
       {

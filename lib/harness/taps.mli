@@ -36,6 +36,5 @@ val attach_flight :
 
 val events_of_engine : Sim.Engine.t -> Stats.events
 
-val engstat_of_engine : Obs.Engstat.probe -> label:string -> Sim.Engine.t -> Obs.Engstat.t
-(** Close an engine-performance probe over a finished run: the engine's
-    deterministic counters plus the probe's wall/GC deltas. *)
+val engstat_of_engine : Sim.Engine.t -> Obs.Engstat.t
+(** The finished run's engine event and timer-heap counters. *)

@@ -9,7 +9,6 @@ type entry = {
   en_system : string;
   en_point : string;
   en_det : (string * float array) list;
-  en_host : (string * float array) list;
 }
 
 type manifest = {
@@ -29,6 +28,11 @@ let hash_config s =
       h := Int64.mul !h 0x100000001B3L)
     s;
   Printf.sprintf "%016Lx" !h
+
+let entry ~system ~point rows =
+  let metrics = match rows with [] -> [] | first :: _ -> List.map fst first in
+  let samples m = (m, Array.of_list (List.map (List.assoc m) rows)) in
+  { en_system = system; en_point = point; en_det = List.map samples metrics }
 
 let make ~config ~seeds ?(describe = "unknown") entries =
   {
@@ -67,20 +71,16 @@ let add_samples buf samples =
     samples;
   Buffer.add_char buf '}'
 
-let add_entry buf ~det_only e =
+let add_entry buf e =
   Buffer.add_string buf "{\"system\":";
   Json.str buf e.en_system;
   Buffer.add_string buf ",\"point\":";
   Json.str buf e.en_point;
   Buffer.add_string buf ",\"det\":";
   add_samples buf e.en_det;
-  if not det_only then begin
-    Buffer.add_string buf ",\"host\":";
-    add_samples buf e.en_host
-  end;
   Buffer.add_char buf '}'
 
-let render ~det_only t =
+let render ~describe t =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\n\"schema\": ";
   Buffer.add_string buf (string_of_int t.manifest.m_schema);
@@ -93,7 +93,7 @@ let render ~det_only t =
       Buffer.add_string buf (string_of_int s))
     t.manifest.m_seeds;
   Buffer.add_string buf "]";
-  if not det_only then begin
+  if describe then begin
     Buffer.add_string buf ",\n\"describe\": ";
     Json.str buf t.manifest.m_describe
   end;
@@ -101,14 +101,14 @@ let render ~det_only t =
   List.iteri
     (fun i e ->
       if i > 0 then Buffer.add_string buf ",\n";
-      add_entry buf ~det_only e)
+      add_entry buf e)
     t.entries;
   Buffer.add_string buf "\n]\n}\n";
   Buffer.contents buf
 
-let to_json t = render ~det_only:false t
+let to_json t = render ~describe:true t
 
-let det_json t = render ~det_only:true t
+let det_json t = render ~describe:false t
 
 (* --- parsing ------------------------------------------------------- *)
 
@@ -344,10 +344,6 @@ let parse s =
                           (match J.member "det" e with
                           | Some d -> samples_of d
                           | None -> []);
-                        en_host =
-                          (match J.member "host" e with
-                          | Some h -> samples_of h
-                          | None -> []);
                       }
                   | _ -> None)
                 es
@@ -386,7 +382,6 @@ let verdict_to_string = function
 type metric_verdict = {
   v_system : string;
   v_metric : string;
-  v_host : bool;
   v_verdict : verdict;
   v_base_mean : float;
   v_cur_mean : float;
@@ -437,7 +432,7 @@ let compare_ledgers ?(alpha = 0.05) ?(regress_floor = 0.03) ?(ci_level = 0.95)
       0 baseline.entries
   in
   let alpha_eff = alpha /. float_of_int (max 1 gated_count) in
-  let verdict_of ~sys ~metric ~host base cur =
+  let verdict_of ~sys ~metric base cur =
     let sb = Bstats.summarize base and sc = Bstats.summarize cur in
     let seed = Bstats.seed_of_name (sys ^ "." ^ metric) in
     let base_ci = Bstats.bootstrap_ci ~resamples ~level:ci_level ~seed base in
@@ -458,8 +453,7 @@ let compare_ledgers ?(alpha = 0.05) ?(regress_floor = 0.03) ?(ci_level = 0.95)
     in
     let significant = t.Bstats.p <= alpha_eff || separated in
     let verdict, note =
-      if host then (Info, "informational (host)")
-      else if arrays_equal base cur then (Pass, "identical samples")
+      if arrays_equal base cur then (Pass, "identical samples")
       else if not significant then (Pass, "not significant")
       else begin
         let (blo, bhi) = base_ci and (clo, chi) = cur_ci in
@@ -474,7 +468,6 @@ let compare_ledgers ?(alpha = 0.05) ?(regress_floor = 0.03) ?(ci_level = 0.95)
     {
       v_system = sys;
       v_metric = metric;
-      v_host = host;
       v_verdict = verdict;
       v_base_mean = sb.Bstats.mean;
       v_cur_mean = sc.Bstats.mean;
@@ -486,12 +479,11 @@ let compare_ledgers ?(alpha = 0.05) ?(regress_floor = 0.03) ?(ci_level = 0.95)
       v_note = note;
     }
   in
-  let missing ~sys ~metric ~host ~verdict base note =
+  let missing ~sys ~metric ~verdict base note =
     let sb = Bstats.summarize base in
     {
       v_system = sys;
       v_metric = metric;
-      v_host = host;
       v_verdict = verdict;
       v_base_mean = sb.Bstats.mean;
       v_cur_mean = 0.;
@@ -509,29 +501,25 @@ let compare_ledgers ?(alpha = 0.05) ?(regress_floor = 0.03) ?(ci_level = 0.95)
         let sys = be.en_system in
         match find_entry current sys be.en_point with
         | None ->
-          [ missing ~sys ~metric:"(entry)" ~host:false ~verdict:Drift [||]
+          [ missing ~sys ~metric:"(entry)" ~verdict:Drift [||]
               "entry missing in current" ]
         | Some ce ->
-          let section ~host bsec csec =
-            List.concat_map
-              (fun (metric, base) ->
-                match List.assoc_opt metric csec with
-                | Some cur -> [ verdict_of ~sys ~metric ~host base cur ]
-                | None ->
-                  [ missing ~sys ~metric ~host ~verdict:Drift base
-                      "missing in current" ])
-              bsec
-            @ List.filter_map
-                (fun (metric, cur) ->
-                  if List.mem_assoc metric bsec then None
-                  else
-                    Some
-                      (missing ~sys ~metric ~host ~verdict:Info cur
-                         "new metric (absent from baseline)"))
-                csec
-          in
-          section ~host:false be.en_det ce.en_det
-          @ section ~host:true be.en_host ce.en_host)
+          List.concat_map
+            (fun (metric, base) ->
+              match List.assoc_opt metric ce.en_det with
+              | Some cur -> [ verdict_of ~sys ~metric base cur ]
+              | None ->
+                [ missing ~sys ~metric ~verdict:Drift base
+                    "missing in current" ])
+            be.en_det
+          @ List.filter_map
+              (fun (metric, cur) ->
+                if List.mem_assoc metric be.en_det then None
+                else
+                  Some
+                    (missing ~sys ~metric ~verdict:Info cur
+                       "new metric (absent from baseline)"))
+              ce.en_det)
       baseline.entries
   in
   let count v =

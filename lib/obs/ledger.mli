@@ -3,17 +3,12 @@
 
     One ledger holds, per (system, point), the metric samples of a
     whole seed set — every metric is a [float array] with one value per
-    seed, in seed order.  Metrics live in two sections with different
-    determinism contracts:
-
-    - {b deterministic} ([en_det]): goodput, latency percentiles,
-      abort/re-exec counters, engine event counters, lineage digests —
-      pure functions of the simulated schedule, byte-identical across
-      hosts and [--jobs].  Gated by {!compare_ledgers} with bootstrap
-      confidence intervals and a Mann–Whitney U test, never by hand
-      tolerances.
-    - {b host} ([en_host]): events/sec, wall seconds, GC counters —
-      machine-dependent, so informational only: reported, never gated.
+    seed, in seed order.  Every metric (goodput, latency percentiles,
+    abort/re-exec counters, engine event counters, lineage digests) is
+    a pure function of the simulated schedule, byte-identical across
+    hosts and [--jobs].  {!compare_ledgers} gates them with bootstrap
+    confidence intervals and a Mann–Whitney U test, never by hand
+    tolerances.  Host time is not recorded here: perfbench measures it.
 
     The manifest pins schema version, a config hash, the seed set and a
     best-effort [git describe], so a check can refuse to compare
@@ -25,7 +20,6 @@ type entry = {
   en_system : string;
   en_point : string;  (** human label of the bench point *)
   en_det : (string * float array) list;
-  en_host : (string * float array) list;
 }
 
 type manifest = {
@@ -40,6 +34,10 @@ type t = { manifest : manifest; entries : entry list }
 val hash_config : string -> string
 (** FNV-1a 64 of a canonical parameter string, rendered as hex. *)
 
+val entry : system:string -> point:string -> (string * float) list list -> entry
+(** One entry from per-seed metric rows (in seed order): every metric
+    of the first row becomes a sample array across all rows. *)
+
 val make : config:string -> seeds:int list -> ?describe:string -> entry list -> t
 (** [config] is hashed; pass the raw canonical parameter string. *)
 
@@ -47,13 +45,14 @@ val make : config:string -> seeds:int list -> ?describe:string -> entry list -> 
 
 val to_json : t -> string
 (** Multi-line JSON, one entry per line, newline-terminated.  Field
-    order is fixed.  Contains the host section — do not byte-diff this;
-    diff {!det_json}. *)
+    order is fixed.  Carries the [git describe] — byte-diff
+    {!det_json} instead. *)
 
 val det_json : t -> string
-(** Canonical deterministic projection: manifest minus [describe], and
-    every entry's [det] section only.  Byte-identical across hosts and
-    [--jobs] for the same code, config and seed set. *)
+(** Canonical deterministic projection: the ledger minus [describe].
+    Byte-identical across hosts and [--jobs] for the same code, config
+    and seed set.  Reading an older file that still carries a per-entry
+    [host] object drops it, so its projection is unchanged. *)
 
 type error =
   | Missing_file of string
@@ -84,14 +83,13 @@ type verdict =
   | Regress
       (** significant, confidence intervals disjoint, relative shift
           beyond the floor — fails the gate *)
-  | Info  (** never gated (host metrics, new metrics) *)
+  | Info  (** never gated (metrics new in the current ledger) *)
 
 val verdict_to_string : verdict -> string
 
 type metric_verdict = {
   v_system : string;
   v_metric : string;
-  v_host : bool;
   v_verdict : verdict;
   v_base_mean : float;
   v_cur_mean : float;
@@ -125,10 +123,8 @@ val compare_ledgers :
   comparison
 (** Defaults: [alpha] 0.05 (Bonferroni-divided across gated metrics),
     [regress_floor] 0.03 relative, [ci_level] 0.95, [resamples] 1000.
-    Only the deterministic section is gated: every host metric is
-    {!Info}, since host timings swing with machine load (perfbench
-    measures host speed instead).  Identical sample arrays
-    short-circuit to {!Pass}.  Significance is either the corrected U-test p {e or} complete separation (every
+    Identical sample arrays short-circuit to {!Pass}.  Significance is
+    either the corrected U-test p {e or} complete separation (every
     current sample on one side of every baseline sample, rank-biserial
     |r| = 1) with at least 4 seeds a side — the strongest signal a
     rank test of this size can emit, which would otherwise be
@@ -146,23 +142,3 @@ val explain_metric :
 (** Multi-line account of why one gate fired (or didn't): verdict,
     baseline CI, observed CI, U-test p bound, effect size, relative
     shift vs the floor. *)
-
-(** {1 Raw JSON access}
-
-    The mini JSON reader behind {!parse}, exposed so [morty_report
-    trajectory] can also walk the legacy single-seed [BENCH_*.json]
-    baselines without a second parser. *)
-
-module J : sig
-  type v =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of v list
-    | Obj of (string * v) list
-
-  val parse : string -> (v, string) result
-
-  val member : string -> v -> v option
-end

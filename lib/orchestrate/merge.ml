@@ -3,12 +3,11 @@ type 'a t = {
   mutable filled : int;
   mutable ready : int;  (* contiguous prefix present *)
   mutable taken : int;  (* prefix already handed out by take_ready *)
-  mutable high_water : int;  (* peak filled-but-not-yet-taken occupancy *)
 }
 
 let create n =
   if n < 0 then invalid_arg "Merge.create: negative capacity";
-  { slots = Array.make n None; filled = 0; ready = 0; taken = 0; high_water = 0 }
+  { slots = Array.make n None; filled = 0; ready = 0; taken = 0 }
 
 let capacity t = Array.length t.slots
 
@@ -21,7 +20,6 @@ let offer t i v =
   | None -> ());
   t.slots.(i) <- Some v;
   t.filled <- t.filled + 1;
-  if t.filled - t.taken > t.high_water then t.high_water <- t.filled - t.taken;
   (* advance the released prefix over every newly-contiguous slot *)
   while
     t.ready < n && (match t.slots.(t.ready) with Some _ -> true | None -> false)
@@ -47,5 +45,3 @@ let get t i =
   if i < 0 || i >= Array.length t.slots then None else t.slots.(i)
 
 let complete t = t.filled = Array.length t.slots
-
-let high_water t = t.high_water

@@ -40,9 +40,3 @@ val get : 'a t -> int -> 'a option
 
 val complete : 'a t -> bool
 (** All [capacity] results have been filed. *)
-
-val high_water : 'a t -> int
-(** Peak count of results filed but not yet handed out by
-    {!take_ready} — how far ahead of the release frontier the workers
-    ran.  A reorder-buffer sizing figure for the engine-performance
-    observatory. *)

@@ -1,33 +1,13 @@
 type job = unit -> unit
 
-(* Per-worker utilization counters, mutated only under the pool lock so
-   cross-domain reads are race-free.  Busy covers job execution; idle
-   covers the wait for work (lock contention included). *)
-type worker_stat = {
-  mutable ws_tasks : int;
-  mutable ws_steals : int;
-  mutable ws_busy_ns : int;
-  mutable ws_idle_ns : int;
-}
-
-type domain_stat = {
-  ds_domain : int;
-  ds_tasks : int;
-  ds_steals : int;
-  ds_busy_ns : int;
-  ds_idle_ns : int;
-}
-
 type t = {
   parallelism : int;  (* requested --jobs value; 1 = inline *)
   deques : job Queue.t array;  (* deques.(w) owned by worker w *)
-  wstats : worker_stat array;  (* wstats.(w) owned by worker w *)
   m : Mutex.t;
   work_cv : Condition.t;  (* workers: new work or shutdown *)
   done_cv : Condition.t;  (* caller: a job finished *)
   mutable rr : int;  (* round-robin submission cursor *)
   mutable stop : bool;
-  mutable merge_hwm : int;  (* peak mailbox occupancy across map calls *)
   mutable domains : unit Domain.t array;
 }
 
@@ -36,8 +16,7 @@ let default_jobs () = max 1 (Domain.recommended_domain_count () - 1)
 let jobs t = t.parallelism
 
 (* Pop from the worker's own deque, else steal from the nearest
-   sibling's.  Returns the job and whether it came from a sibling's
-   deque (a steal).  Caller holds [t.m]. *)
+   sibling's.  Caller holds [t.m]. *)
 let take_job t w =
   let n = Array.length t.deques in
   let rec scan i =
@@ -45,21 +24,16 @@ let take_job t w =
     else
       let v = (w + i) mod n in
       if Queue.is_empty t.deques.(v) then scan (i + 1)
-      else Some (Queue.pop t.deques.(v), v <> w)
+      else Some (Queue.pop t.deques.(v))
   in
   scan 0
 
 let worker t w =
-  let st = t.wstats.(w) in
   let rec loop () =
-    let t_wait = Obs.Mclock.now_ns () in
     Mutex.lock t.m;
     let rec get () =
       match take_job t w with
-      | Some (j, stolen) ->
-        st.ws_tasks <- st.ws_tasks + 1;
-        if stolen then st.ws_steals <- st.ws_steals + 1;
-        Some j
+      | Some _ as j -> j
       | None ->
         if t.stop then None
         else begin
@@ -68,19 +42,14 @@ let worker t w =
         end
     in
     let j = get () in
-    (match j with
-    | Some _ -> st.ws_idle_ns <- st.ws_idle_ns + Obs.Mclock.elapsed_ns t_wait
-    | None -> ());
     Mutex.unlock t.m;
     match j with
     | None -> ()
     | Some j ->
       (* The job itself never raises: [map] wraps the user function and
          files the outcome, success or exception, in the mailbox. *)
-      let t_busy = Obs.Mclock.now_ns () in
       j ();
       Mutex.lock t.m;
-      st.ws_busy_ns <- st.ws_busy_ns + Obs.Mclock.elapsed_ns t_busy;
       Condition.broadcast t.done_cv;
       Mutex.unlock t.m;
       loop ()
@@ -94,15 +63,11 @@ let create ~jobs =
     {
       parallelism;
       deques = Array.init (max 1 n_workers) (fun _ -> Queue.create ());
-      wstats =
-        Array.init (max 1 n_workers) (fun _ ->
-            { ws_tasks = 0; ws_steals = 0; ws_busy_ns = 0; ws_idle_ns = 0 });
       m = Mutex.create ();
       work_cv = Condition.create ();
       done_cv = Condition.create ();
       rr = 0;
       stop = false;
-      merge_hwm = 0;
       domains = [||];
     }
   in
@@ -147,8 +112,6 @@ let map ?(on_ready = fun _ _ -> ()) t f items =
         Condition.wait t.done_cv t.m
       done;
       let batch = Merge.take_ready mailbox in
-      if Merge.high_water mailbox > t.merge_hwm then
-        t.merge_hwm <- Merge.high_water mailbox;
       Mutex.unlock t.m;
       List.iter
         (fun (i, r) ->
@@ -173,33 +136,6 @@ let map ?(on_ready = fun _ _ -> ()) t f items =
           | Some (Ok y) -> y
           | Some (Error _) | None -> assert false)
   end
-
-let stats t =
-  if t.parallelism <= 1 then []
-  else begin
-    Mutex.lock t.m;
-    let out =
-      Array.to_list
-        (Array.mapi
-           (fun w st ->
-             {
-               ds_domain = w;
-               ds_tasks = st.ws_tasks;
-               ds_steals = st.ws_steals;
-               ds_busy_ns = st.ws_busy_ns;
-               ds_idle_ns = st.ws_idle_ns;
-             })
-           t.wstats)
-    in
-    Mutex.unlock t.m;
-    out
-  end
-
-let merge_high_water t =
-  Mutex.lock t.m;
-  let hwm = t.merge_hwm in
-  Mutex.unlock t.m;
-  hwm
 
 let shutdown t =
   if Array.length t.domains > 0 then begin

@@ -18,7 +18,10 @@
     finish in — so a parallel sweep's output is byte-identical to the
     serial sweep's.  With [jobs <= 1] no domain is ever spawned and
     [map] degenerates to [List.map] on the calling domain: the serial
-    ground truth the differential tests compare against. *)
+    ground truth the differential tests compare against.
+
+    The pool keeps no clocks or utilization counters; perfbench
+    measures host time. *)
 
 type t
 
@@ -46,26 +49,6 @@ val map : ?on_ready:(int -> 'b -> unit) -> t -> ('a -> 'b) -> 'a list -> 'b list
     — deterministic regardless of completion order.  [on_ready] is not
     called for failed indices.  The pool survives: subsequent [map]
     calls work normally. *)
-
-type domain_stat = {
-  ds_domain : int;  (** worker index, [0 .. jobs-1] *)
-  ds_tasks : int;  (** jobs this worker executed *)
-  ds_steals : int;  (** of those, taken from a sibling's deque *)
-  ds_busy_ns : int;  (** monotonic ns spent executing jobs *)
-  ds_idle_ns : int;  (** monotonic ns spent waiting for work *)
-}
-
-val stats : t -> domain_stat list
-(** Per-worker utilization counters accumulated since {!create}, in
-    worker order.  Empty for inline pools ([jobs <= 1]).  Wall-clock
-    figures are host-dependent: report them on stderr or in the
-    tolerance-checked host section of an engine-stats file, never on
-    the byte-identical diff surface. *)
-
-val merge_high_water : t -> int
-(** Peak {!Merge.high_water} observed across all {!map} calls — how
-    many results were buffered awaiting in-order release at the worst
-    moment.  0 for inline pools. *)
 
 val shutdown : t -> unit
 (** Signal workers to drain and exit, then join their domains.

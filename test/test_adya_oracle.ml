@@ -177,7 +177,7 @@ let dummy_result ?(committed = 1) ?(rate = 1.0) () =
     r_events = Harness.Stats.no_events;
     r_recovery = Harness.Stats.no_recovery;
     r_avail = Harness.Stats.no_avail;
-    r_engstat = Obs.Engstat.zero ~label:"test";
+    r_engstat = Obs.Engstat.zero;
     r_lineage = Harness.Stats.no_lineage;
   }
 

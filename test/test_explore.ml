@@ -27,14 +27,6 @@ let small_exp sys =
    history, for every system.  This is the determinism contract the
    explorer's replayability (and the shrinker's oracle re-runs) depend
    on. *)
-(* The engine record's host section (wall ns, GC deltas) is the one
-   intentionally nondeterministic corner of a result — zero it before
-   the structural comparison; everything else must match exactly. *)
-let norm r =
-  {
-    r with
-    Harness.Stats.r_engstat = Obs.Engstat.strip_host r.Harness.Stats.r_engstat;
-  }
 
 let test_audited_run_deterministic () =
   List.iter
@@ -42,7 +34,7 @@ let test_audited_run_deterministic () =
       let r1, h1 = Harness.Run.run_exp_audited (small_exp sys) in
       let r2, h2 = Harness.Run.run_exp_audited (small_exp sys) in
       let name = Harness.Run.system_name sys in
-      if norm r1 <> norm r2 then
+      if r1 <> r2 then
         Alcotest.failf "%s: results differ across identical runs" name;
       if List.length h1 <> List.length h2 then
         Alcotest.failf "%s: history lengths differ (%d vs %d)" name (List.length h1)
@@ -184,7 +176,7 @@ let test_faulted_run_deterministic_and_safe () =
       let name = Harness.Run.system_name sys in
       match (Explore.Case.run (case sys), Explore.Case.run (case sys)) with
       | Ok r1, Ok r2 ->
-        if norm r1 <> norm r2 then Alcotest.failf "%s: faulted runs differ" name
+        if r1 <> r2 then Alcotest.failf "%s: faulted runs differ" name
       | Error v, _ | _, Error v ->
         Alcotest.failf "%s: audit violation under faults: %s" name
           (Explore.Audit.violation_to_string v))

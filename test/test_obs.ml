@@ -373,22 +373,6 @@ let test_metrics_samples () =
   Alcotest.(check int) "header + one row per sample"
     (1 + List.length samples) (List.length lines)
 
-(* Instrumentation must be invisible to the simulation: the same seed
-   with and without a sink yields the same measured result row. *)
-let test_tracing_zero_perturbation () =
-  let e = traced_exp ~clients:8 ~seed:5 () in
-  let plain = Harness.Run.run_exp e in
-  let obs = Obs.Sink.create ~seed:5 in
-  let traced = Harness.Run.run_exp ~obs e in
-  Alcotest.(check int) "committed identical" plain.Harness.Stats.r_committed
-    traced.Harness.Stats.r_committed;
-  Alcotest.(check int) "aborted identical" plain.Harness.Stats.r_aborted
-    traced.Harness.Stats.r_aborted;
-  Alcotest.(check (float 1e-9)) "goodput identical"
-    plain.Harness.Stats.r_goodput traced.Harness.Stats.r_goodput;
-  Alcotest.(check (float 1e-9)) "p99 identical"
-    plain.Harness.Stats.r_p99_latency_ms traced.Harness.Stats.r_p99_latency_ms
-
 (* Every abort a run reports is classified: the taxonomy counters sum to
    the headline abort count on all four systems. *)
 let test_abort_sum_invariant () =
@@ -460,8 +444,6 @@ let suites =
         Alcotest.test_case "span coverage incl. reexecute" `Quick
           test_span_coverage;
         Alcotest.test_case "metrics samples" `Quick test_metrics_samples;
-        Alcotest.test_case "zero perturbation" `Quick
-          test_tracing_zero_perturbation;
       ] );
     ( "obs-accounting",
       [

@@ -186,8 +186,8 @@ let test_attribute_pinned () =
 
 (* --- the paper's shape claims at the Fig 9 high-contention point --------- *)
 
-(* Same operating point as the committed bench baseline
-   (bench/BENCH_PR4.json): YCSB theta=1.2 over 1k keys, 48 closed-loop
+(* Same operating point as the committed run ledger
+   (bench/LEDGER.json): YCSB theta=1.2 over 1k keys, 48 closed-loop
    clients.  One run per system, shared by the claim checks below. *)
 let fig9_exp system =
   {

@@ -18,7 +18,16 @@
      among cells that agree on the sink.
 
    A failure names the cell and the first case that differs from the
-   first cell to produce the same comparison. *)
+   first cell to produce the same comparison.
+
+   The [all] cells also pin every artifact across revisions: the MD5 of
+   each case's trace, metrics, profile, flight ring and lineage, plus
+   the monitor's observed-transition count, must equal
+   test/golden_observers.txt.  On mismatch the system's actual lines
+   are written to golden_observers-SYS.actual next to the test binary.
+   And one check runs across two recorders of the same stream: every
+   finished transaction appears once as a [txn] span in the trace and
+   once as a finished lineage record. *)
 
 module Stats = Harness.Stats
 module Case = Explore.Case
@@ -70,6 +79,10 @@ type outcome = {
   verdict : (Stats.result, Explore.Audit.violation) result;
   violations : int;  (** monitor violations *)
   artifacts : (string * string) list;  (** (kind, bytes) per observer *)
+  observed : int;  (** monitor transitions *)
+  finished : (string list * string list) option;
+      (** sorted [ver] args of the trace's [txn] spans and sorted
+          versions of finished lineage records, when both are on *)
 }
 
 (* Runs on a worker domain in the parallel cells: every observer is
@@ -89,9 +102,30 @@ let run_case o case =
   in
   let verdict = Case.run ~obs ~prof ~mon ~flight ~lineage case in
   let artifact on kind render = if on then [ (kind, render ()) ] else [] in
+  let txn_span_vers () =
+    List.filter_map
+      (fun (e : Obs.Sink.event) ->
+        match (e.ev_ph, e.ev_name, List.assoc_opt "ver" e.ev_args) with
+        | Obs.Sink.Complete, "txn", Some (Obs.Sink.S v) -> Some v
+        | _ -> None)
+      (Obs.Sink.events obs)
+  in
+  let finished_lineage_vers () =
+    List.filter_map
+      (fun (r : Obs.Lineage.record) ->
+        if r.r_end_us > 0 then Some (Fmt.str "%a" Obs.Lineage.pp_ver r.r_ver) else None)
+      (Obs.Lineage.records lineage)
+  in
   {
     verdict;
     violations = Obs.Monitor.n_violations mon;
+    observed = Obs.Monitor.n_observed mon;
+    finished =
+      (if o.sink && o.lineage then
+         Some
+           ( List.sort compare (txn_span_vers ()),
+             List.sort compare (finished_lineage_vers ()) )
+       else None);
     artifacts =
       List.concat
         [
@@ -115,6 +149,50 @@ let without_observers (r : Stats.result) =
     r_engstat = Obs.Engstat.zero;
     r_lineage = Stats.no_lineage;
   }
+
+(* One golden line per (system, case, artifact) of the [all] cell. *)
+let golden_lines sys outcomes =
+  List.concat
+    (List.mapi
+       (fun i out ->
+         List.map
+           (fun (kind, bytes) ->
+             Printf.sprintf "%s %d %s %s" sys i kind
+               (Digest.to_hex (Digest.string bytes)))
+           out.artifacts
+         @ [ Printf.sprintf "%s %d monitor-observed %d" sys i out.observed ])
+       outcomes)
+
+let check_golden sys outcomes =
+  let actual = golden_lines sys outcomes in
+  let prefix = sys ^ " " in
+  let expected =
+    In_channel.with_open_bin "golden_observers.txt" In_channel.input_lines
+    |> List.filter (String.starts_with ~prefix)
+  in
+  if actual <> expected then begin
+    Out_channel.with_open_bin
+      (Printf.sprintf "golden_observers-%s.actual" sys)
+      (fun oc -> List.iter (fun l -> output_string oc (l ^ "\n")) actual);
+    let rec first_diff = function
+      | a :: xs, e :: ys when a = e -> first_diff (xs, ys)
+      | a :: _, e :: _ ->
+        Alcotest.failf "golden_observers.txt differs (system case artifact):\n  want %s\n  got  %s" e a
+      | _ ->
+        Alcotest.failf "golden_observers.txt has %d lines for %s, run gave %d"
+          (List.length expected) sys (List.length actual)
+    in
+    first_diff (actual, expected)
+  end
+
+let check_finished cell case = function
+  | None -> ()
+  | Some (spans, records) ->
+    if spans <> records then
+      Alcotest.failf
+        "cell %s, case %s: %d txn spans but %d finished lineage records, \
+         or their versions differ"
+        cell (Case.label case) (List.length spans) (List.length records)
 
 type observed =
   | Verdict of (Stats.result, Explore.Audit.violation) result
@@ -156,6 +234,7 @@ let check_system system () =
           if o.monitor && out.violations > 0 then
             Alcotest.failf "cell %s, case %s: %d monitor violations" cell
               (Case.label case) out.violations;
+          check_finished cell case out.finished;
           agree cell case i
             (Printf.sprintf "result (sink=%b, lineage=%b)" o.sink o.lineage)
             (Verdict out.verdict);
@@ -165,6 +244,10 @@ let check_system system () =
             (fun (kind, bytes) -> agree cell case i kind (Bytes bytes))
             out.artifacts)
         (List.combine cases outcomes))
+    cells;
+  List.iter
+    (fun (cell, _, outcomes) ->
+      if cell = sys ^ "/serial/all" then check_golden sys outcomes)
     cells
 
 let suites =

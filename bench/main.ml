@@ -513,7 +513,11 @@ let git_describe () =
 let ledger_row sys seed =
   let prof = Obs.Profile.create ~label:(Run.system_name sys) () in
   let lineage = Obs.Lineage.create ~label:(Run.system_name sys) () in
-  let r = Run.run_exp ~prof ~lineage (gate_exp sys seed) in
+  let r =
+    Run.run_exp
+      ~obs:(Obs.Bus.create ~profile:prof ~lineage_log:lineage ())
+      (gate_exp sys seed)
+  in
   let w = Obs.Profile.waste prof in
   let frac a b = if b = 0 then 0. else float_of_int a /. float_of_int b in
   let agg = Obs.Profile.decomposition prof in

@@ -257,30 +257,28 @@ let run system setup workload theta keys warehouses read_pct clients cores
      as a read-only result — with --jobs this is the only code that
      executes on a worker domain. *)
   let compute_point e =
+    let label = e.Harness.Run.e_label in
+    let on flag create = if flag then Some (create ()) else None in
     let obs =
-      if trace_out <> None || metrics_out <> None || postmortem_out <> None then
-        Obs.Sink.create ~seed:e.Harness.Run.e_seed
-      else Obs.Sink.null ()
+      Obs.Bus.create
+        ?sink:
+          (on
+             (trace_out <> None || metrics_out <> None || postmortem_out <> None)
+             (fun () -> Obs.Sink.create ~seed:e.Harness.Run.e_seed))
+        ?profile:(on (profile_out <> None) (Obs.Profile.create ~label))
+        ?monitor:(on monitors Obs.Monitor.create)
+        ?flight_ring:(on monitors Obs.Flight.create)
+        ?lineage_log:(on (lineage_out <> None) (Obs.Lineage.create ~label))
+        ()
     in
-    let prof =
-      if profile_out <> None then
-        Obs.Profile.create ~label:e.Harness.Run.e_label ()
-      else Obs.Profile.null ()
-    in
-    let mon = if monitors then Obs.Monitor.create () else Obs.Monitor.null () in
-    let flight = if monitors then Obs.Flight.create () else Obs.Flight.null () in
-    let lineage =
-      if lineage_out <> None then
-        Obs.Lineage.create ~label:e.Harness.Run.e_label ()
-      else Obs.Lineage.null ()
-    in
-    let r = Harness.Run.run_exp ?faults ~obs ~prof ~mon ~flight ~lineage e in
-    (e, obs, prof, mon, flight, lineage, r)
+    (e, obs, Harness.Run.run_exp ?faults ~obs e)
   in
   (* Render half: all printing and file writes, always on the calling
      domain, in submission order — so stdout and every output file are
      byte-identical whatever --jobs is. *)
-  let render_point (e, obs, prof, mon, flight, lineage, r) =
+  let render_point (e, obs, r) =
+    let sink = Obs.Bus.sink obs and prof = Obs.Bus.profile obs in
+    let mon = Obs.Bus.monitor obs and lineage = Obs.Bus.lineage_log obs in
     let ev = r.Harness.Stats.r_events in
     events :=
       !events + ev.Harness.Stats.ev_timers + ev.Harness.Stats.ev_deliveries
@@ -314,14 +312,14 @@ let run system setup workload theta keys warehouses read_pct clients cores
       in
       let bundle =
         Obs.Postmortem.make ~reason ~detail ~label:e.Harness.Run.e_label
-          ~seed:e.Harness.Run.e_seed ~mon ~flight ~sink:obs ~prof ()
+          ~seed:e.Harness.Run.e_seed ~obs ()
       in
       Obs.Postmortem.write ~dir bundle;
       Fmt.pr "post-mortem bundle written to %s/@." dir
     | Some _ | None -> ());
     incr point_idx;
-    Option.iter (fun p -> Out_flags.write p (Obs.Trace.to_json obs)) trace_out;
-    Option.iter (fun p -> Out_flags.write p (Obs.Metrics.to_csv obs)) metrics_out;
+    Option.iter (fun p -> Out_flags.write p (Obs.Trace.to_json sink)) trace_out;
+    Option.iter (fun p -> Out_flags.write p (Obs.Metrics.to_csv sink)) metrics_out;
     if profile_out <> None then begin
       (* [to_json] is newline-terminated: with --sweep the file is one
          JSON document per line, one per point. *)

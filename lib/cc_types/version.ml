@@ -21,6 +21,8 @@ let pp ppf v =
 
 let to_string v = Fmt.str "%a" pp v
 
+let to_pair v = if is_zero v then (0, 0) else (v.ts, v.id)
+
 module Ord = struct
   type nonrec t = t
 

@@ -27,6 +27,10 @@ val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
 
+val to_pair : t -> int * int
+(** The [(ts, id)] pair observers key versions by; {!zero}, the
+    writerless initial data, maps to [(0, 0)]. *)
+
 module Map : Map.S with type key = t
 
 module Set : Set.S with type elt = t

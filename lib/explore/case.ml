@@ -77,13 +77,12 @@ let exp_of c =
     e_max_staleness_us = c.c_max_staleness_us;
   }
 
-let run ?obs ?prof ?(mon = Obs.Monitor.null ()) ?flight ?lineage c =
+let run ?(obs = Obs.Bus.null ()) c =
   let faults =
     if Schedule.is_empty c.c_schedule then None else Some (Schedule.apply c.c_schedule)
   in
   let result, txns =
-    Harness.Run.run_exp_audited ?faults ?obs ?prof ~mon ?flight ?lineage
-      (exp_of c)
+    Harness.Run.run_exp_audited ?faults ~obs (exp_of c)
   in
   match
     Audit.check ~expect_progress:(Schedule.is_empty c.c_schedule) txns result
@@ -91,7 +90,7 @@ let run ?obs ?prof ?(mon = Obs.Monitor.null ()) ?flight ?lineage c =
   | Ok () -> (
     (* Monitor hits share the audit's failure surface, so the shrinker
        minimizes them the same way. *)
-    match Obs.Monitor.violations mon with
+    match Obs.Monitor.violations (Obs.Bus.monitor obs) with
     | [] -> Ok result
     | v :: _ -> Error (Audit.Monitor_violation v))
   | Error v -> Error v

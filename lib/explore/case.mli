@@ -36,22 +36,15 @@ val horizon_us : t -> int
 (** Warm-up plus measurement window — the span fault schedules target. *)
 
 val run :
-  ?obs:Obs.Sink.t ->
-  ?prof:Obs.Profile.t ->
-  ?mon:Obs.Monitor.t ->
-  ?flight:Obs.Flight.t ->
-  ?lineage:Obs.Lineage.t ->
+  ?obs:Obs.Bus.t ->
   t ->
   (Harness.Stats.result, Audit.violation) result
 (** Run the case's experiment with its fault schedule injected, audit
     the recorded history ([expect_progress] iff the schedule is empty),
     and return the measured result or the audit violation.  [obs]
-    collects a span trace, [prof] a critical-path profile, [mon] online
-    invariant monitors (a monitor firing is reported as
-    [Audit.Monitor_violation]), [flight] a bounded event ring of the
-    run and [lineage] the causal provenance of every transaction
-    (instrumentation is read-only, so the history is identical with
-    or without them). *)
+    carries the run's recorders ({!Harness.Run.run_exp}); a firing
+    monitor is reported as [Audit.Monitor_violation].  Recording is
+    read-only, so the history is identical with or without them. *)
 
 val label : t -> string
 (** Short deterministic label, e.g. ["morty/ycsb-small seed=3 sched=[...]"]. *)

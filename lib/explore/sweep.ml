@@ -82,11 +82,13 @@ let schedule_for cfg ~seed ~index =
 (* Every run of the sweep — worker-domain runs included — attaches a
    fresh monitor set (or the calling domain's disabled singleton), so
    no monitor state is ever shared across runs or domains. *)
-let mon_for cfg () =
-  if cfg.monitors then Obs.Monitor.create () else Obs.Monitor.null ()
+let bus_for cfg ?profile () =
+  Obs.Bus.create ?profile
+    ~monitor:(if cfg.monitors then Obs.Monitor.create () else Obs.Monitor.null ())
+    ()
 
 let fails_for cfg c =
-  match Case.run ~mon:(mon_for cfg ()) c with Ok _ -> None | Error v -> Some v
+  match Case.run ~obs:(bus_for cfg ()) c with Ok _ -> None | Error v -> Some v
 
 (* Shrink one failure and re-run the minimized case with the full
    observer set on: the span trace, critical-path profile and a
@@ -106,14 +108,14 @@ let failure_of ?batch cfg case v =
   in
   let trace, profile, lineage, bundle =
     let sc = shrunk.Shrink.s_case in
-    let sink = Obs.Sink.create ~seed:sc.Case.c_seed in
-    let sprof = Obs.Profile.create ~label:(Case.label sc) () in
-    let smon = Obs.Monitor.create () in
-    let sflight = Obs.Flight.create () in
-    let slin = Obs.Lineage.create ~label:(Case.label sc) () in
-    ignore
-      (Case.run ~obs:sink ~prof:sprof ~mon:smon ~flight:sflight ~lineage:slin
-         sc);
+    let label = Case.label sc in
+    let obs =
+      Obs.Bus.create ~sink:(Obs.Sink.create ~seed:sc.Case.c_seed)
+        ~profile:(Obs.Profile.create ~label ()) ~monitor:(Obs.Monitor.create ())
+        ~flight_ring:(Obs.Flight.create ())
+        ~lineage_log:(Obs.Lineage.create ~label ()) ()
+    in
+    ignore (Case.run ~obs sc);
     let reason =
       match shrunk.Shrink.s_violation with
       | Audit.Monitor_violation _ -> "monitor-violation"
@@ -122,12 +124,11 @@ let failure_of ?batch cfg case v =
     let bundle =
       Obs.Postmortem.make ~reason
         ~detail:(Audit.violation_to_string shrunk.Shrink.s_violation)
-        ~label:(Case.label sc) ~seed:sc.Case.c_seed ~mon:smon ~flight:sflight
-        ~sink ~prof:sprof ()
+        ~label ~seed:sc.Case.c_seed ~obs ()
     in
-    ( Obs.Trace.to_json sink,
-      Obs.Profile.to_json sprof,
-      Obs.Lineage.to_jsonl slin,
+    ( Obs.Trace.to_json (Obs.Bus.sink obs),
+      Obs.Profile.to_json (Obs.Bus.profile obs),
+      Obs.Lineage.to_jsonl (Obs.Bus.lineage_log obs),
       bundle )
   in
   {
@@ -186,7 +187,7 @@ let run_serial ~progress cfg =
                 let schedule = schedule_for cfg ~seed ~index in
                 let case = case_of cfg system wname ~seed ~schedule in
                 let prof = Obs.Profile.create ~label:(Case.label case) () in
-                let outcome = Case.run ~prof ~mon:(mon_for cfg ()) case in
+                let outcome = Case.run ~obs:(bus_for cfg ~profile:prof ()) case in
                 incr runs;
                 progress case prof outcome;
                 match outcome with
@@ -231,7 +232,7 @@ let run_parallel ~progress ~jobs cfg =
             | Error _ -> ())
           (fun case ->
             let prof = Obs.Profile.create ~label:(Case.label case) () in
-            let outcome = Case.run ~prof ~mon:(mon_for cfg ()) case in
+            let outcome = Case.run ~obs:(bus_for cfg ~profile:prof ()) case in
             (case, prof, outcome))
           (cases_of cfg)
       in

@@ -228,10 +228,7 @@ type 'msg env = {
   net : 'msg Simnet.Net.t;
   rng : Sim.Rng.t;
   cores : int;  (* worker cores per replica *)
-  obs : Obs.Sink.t;
-  prof : Obs.Profile.t;
-  mon : Obs.Monitor.t;
-  lineage : Obs.Lineage.t;
+  obs : Obs.Bus.t;
 }
 
 module type Stack = sig
@@ -321,21 +318,21 @@ module Morty_stack = struct
   let shape cfg = (1, Morty.Config.n_replicas cfg)
   let cores e = e.e_cores
 
-  let create { engine; net; rng; cores; prof; mon; lineage; _ } cfg ~regions ~g:_
+  let create { engine; net; rng; cores; obs } cfg ~regions ~g:_
       ~k =
     Replica.create ~cfg ~engine ~net ~rng:(Sim.Rng.split rng) ~index:k
-      ~region:regions.(k mod Array.length regions) ~cores ~prof ~mon ~lineage ()
+      ~region:regions.(k mod Array.length regions) ~cores ~obs ()
 
   (* A fresh incarnation: empty erecord, store and decision log. *)
-  let create_at { engine; net; rng; cores; prof; mon; lineage; _ } cfg ~node ~g:_
+  let create_at { engine; net; rng; cores; obs } cfg ~node ~g:_
       ~k =
     Replica.create_at ~node ~cfg ~engine ~net ~rng:(Sim.Rng.split rng) ~index:k
-      ~cores ~prof ~mon ~lineage ()
+      ~cores ~obs ()
 
-  let client { engine; net; rng; obs; prof; mon; lineage; _ } cfg ~region ~groups
+  let client { engine; net; rng; obs; _ } cfg ~region ~groups
       ~partition:_ ~on_finish =
     Client.create ~cfg ~engine ~net ~rng:(Sim.Rng.split rng) ~region
-      ~replicas:groups.(0) ~obs ~prof ~mon ~lineage ~on_finish ()
+      ~replicas:groups.(0) ~obs ~on_finish ()
 
   let slot_name ~g:_ ~k = Printf.sprintf "r%d" k
   let records = Replica.erecord_size
@@ -421,18 +418,17 @@ module Tapir_stack = struct
 
   let shape cfg = (cfg.Tapir.Config.n_groups, Tapir.Config.n_replicas cfg)
 
-  let create { engine; net; cores; prof; mon; lineage; _ } cfg ~regions ~g ~k =
+  let create { engine; net; cores; obs; _ } cfg ~regions ~g ~k =
     Replica.create ~cfg ~engine ~net ~group:g ~index:k
-      ~region:regions.(k mod Array.length regions) ~cores ~prof ~mon ~lineage ()
+      ~region:regions.(k mod Array.length regions) ~cores ~obs ()
 
-  let create_at { engine; net; cores; prof; mon; lineage; _ } cfg ~node ~g ~k =
-    Replica.create_at ~node ~cfg ~engine ~net ~group:g ~index:k ~cores ~prof ~mon
-      ~lineage ()
+  let create_at { engine; net; cores; obs; _ } cfg ~node ~g ~k =
+    Replica.create_at ~node ~cfg ~engine ~net ~group:g ~index:k ~cores ~obs ()
 
-  let client { engine; net; rng; obs; prof; mon; lineage; _ } cfg ~region ~groups
+  let client { engine; net; rng; obs; _ } cfg ~region ~groups
       ~partition ~on_finish =
     Client.create ~cfg ~engine ~net ~rng:(Sim.Rng.split rng) ~region ~groups
-      ~partition ~obs ~prof ~mon ~lineage ~on_finish ()
+      ~partition ~obs ~on_finish ()
 
   let records = Replica.prepared_count
 
@@ -462,20 +458,18 @@ module Spanner_stack = struct
 
   let shape cfg = (cfg.Spanner.Config.n_groups, Spanner.Config.n_replicas cfg)
 
-  let create { engine; net; cores; prof; mon; lineage; _ } cfg ~regions ~g ~k =
+  let create { engine; net; cores; obs; _ } cfg ~regions ~g ~k =
     Replica.create ~cfg ~engine ~net ~group:g ~index:k
-      ~region:regions.((g + k) mod Array.length regions) ~cores ~prof ~mon
-      ~lineage ()
+      ~region:regions.((g + k) mod Array.length regions) ~cores ~obs ()
 
-  let create_at { engine; net; cores; prof; mon; lineage; _ } cfg ~node ~g ~k =
-    Replica.create_at ~node ~cfg ~engine ~net ~group:g ~index:k ~cores ~prof ~mon
-      ~lineage ()
+  let create_at { engine; net; cores; obs; _ } cfg ~node ~g ~k =
+    Replica.create_at ~node ~cfg ~engine ~net ~group:g ~index:k ~cores ~obs ()
 
-  let client { engine; net; rng; obs; prof; mon; lineage; _ } cfg ~region ~groups
+  let client { engine; net; rng; obs; _ } cfg ~region ~groups
       ~partition ~on_finish =
     Client.create ~cfg ~engine ~net ~rng:(Sim.Rng.split rng) ~region
       ~leaders:(Array.map (fun group -> group.(0)) groups)
-      ~partition ~groups ~obs ~prof ~mon ~lineage ~on_finish ()
+      ~partition ~groups ~obs ~on_finish ()
 
   let records = Replica.prepared_count
 
@@ -559,14 +553,13 @@ module Make (S : Stack) = struct
     in
     fun i -> mix i (Obs.Lineage.next_txn_label lineage)
 
-  let run ?cfg ?on_txn ?faults ?(obs = Obs.Sink.null ())
-      ?(prof = Obs.Profile.null ()) ?(mon = Obs.Monitor.null ())
-      ?(flight = Obs.Flight.null ()) ?(lineage = Obs.Lineage.null ()) e =
+  let run ?cfg ?on_txn ?faults ?(obs = Obs.Bus.null ()) e =
+    let sink = Obs.Bus.sink obs and lineage = Obs.Bus.lineage_log obs in
     let engine = Engine.create () in
     let rng = Sim.Rng.create e.e_seed in
     let net = Simnet.Net.create engine (Sim.Rng.split rng) ~setup:e.e_setup () in
     let regions = Latency.regions e.e_setup in
-    let env = { engine; net; rng; cores = S.cores e; obs; prof; mon; lineage } in
+    let env = { engine; net; rng; cores = S.cores e; obs } in
     let cfg = match cfg with Some c -> c | None -> S.config e in
     let n_groups, nrep = S.shape cfg in
     let groups =
@@ -579,9 +572,10 @@ module Make (S : Stack) = struct
       groups;
     (* Read [groups] at use: restarts swap fresh incarnations into it. *)
     let replicas () = List.concat_map Array.to_list (Array.to_list groups) in
-    Obs.Monitor.register_views mon (fun () ->
+    Obs.Monitor.register_views (Obs.Bus.monitor obs) (fun () ->
         List.map S.Replica.state_view (replicas ()));
-    Taps.attach_flight ~engine ~net ~obs ~flight ~label:S.label;
+    Taps.attach_flight ~engine ~net ~flight:(Obs.Bus.flight_ring obs)
+      ~label:S.label;
     let data = initial_data e.e_workload in
     Array.iter (Array.iter (fun r -> S.Replica.load r data)) groups;
     let stats = Stats.create () in
@@ -608,7 +602,7 @@ module Make (S : Stack) = struct
           in
           let crng = Sim.Rng.split rng in
           closed_loop ~engine ~rng:crng ~client ~pick:(pick i)
-            ~stats ~warm_start ~warm_end ~prof
+            ~stats ~warm_start ~warm_end ~prof:(Obs.Bus.profile obs)
             ~comps:(fun () -> S.Client.last_comps client)
             ~backoff_base_us:e.e_backoff_base_us;
           client)
@@ -622,13 +616,13 @@ module Make (S : Stack) = struct
              (replicas ())));
     let prev_busy = Array.make (n_groups * nrep) 0 in
     let finish_metrics =
-      Taps.install_metrics ~engine ~obs ~horizon:warm_end ~sample:(fun ~now ->
+      Taps.install_metrics ~engine ~sink ~horizon:warm_end ~sample:(fun ~now ->
           Array.iteri
             (fun g group ->
               Array.iteri
                 (fun k r ->
                   let cpu = S.Replica.cpu r in
-                  Obs.Sink.sample obs
+                  Obs.Sink.sample sink
                     {
                       Obs.Sink.sm_ts = now;
                       sm_replica = S.slot_name ~g ~k;
@@ -662,8 +656,8 @@ module Make (S : Stack) = struct
       then begin
         S.Replica.stop r;
         Simnet.Net.crash net (S.Replica.node r);
-        Obs.Monitor.note_kill mon ~ts:(Engine.now engine)
-          ~replica:(S.slot_name ~g ~k);
+        Obs.Bus.emit obs ~ts:(Engine.now engine) ~pid:(S.Replica.node r)
+          (Obs.Bus.Kill { replica = S.slot_name ~g ~k });
         incr kills
       end
     in
@@ -726,7 +720,7 @@ module Make (S : Stack) = struct
       ~msgs_per_txn ~events:(Taps.events_of_engine engine) ~recovery
       ?avail:(if e.e_max_staleness_us > 0 then Some (Avail.result av) else None)
       ~engstat:(Taps.engstat_of_engine engine)
-      ?lineage:
+      ?lineage_summary:
         (if Obs.Lineage.enabled lineage then
            Some (Obs.Lineage.summary (Obs.Lineage.records lineage))
          else None)
@@ -737,25 +731,24 @@ module Morty_run = Make (Morty_stack)
 module Tapir_run = Make (Tapir_stack)
 module Spanner_run = Make (Spanner_stack)
 
-let run_exp ?on_txn ?faults ?obs ?prof ?mon ?flight ?lineage e =
+let run_exp ?on_txn ?faults ?obs e =
   match e.e_system with
-  | Morty | Mvtso ->
-    Morty_run.run ?on_txn ?faults ?obs ?prof ?mon ?flight ?lineage e
-  | Tapir | Tapir_nodist ->
-    Tapir_run.run ?on_txn ?faults ?obs ?prof ?mon ?flight ?lineage e
-  | Spanner ->
-    Spanner_run.run ?on_txn ?faults ?obs ?prof ?mon ?flight ?lineage e
+  | Morty | Mvtso -> Morty_run.run ?on_txn ?faults ?obs e
+  | Tapir | Tapir_nodist -> Tapir_run.run ?on_txn ?faults ?obs e
+  | Spanner -> Spanner_run.run ?on_txn ?faults ?obs e
 
-let run_exp_audited ?faults ?obs ?prof ?mon ?flight ?lineage e =
-  let txns = ref [] in
-  let result =
-    run_exp ~on_txn:(fun t -> txns := t :: !txns) ?faults ?obs ?prof ?mon
-      ?flight ?lineage e
+let run_exp_audited ?faults ?obs ?mon e =
+  let obs =
+    match (obs, mon) with
+    | Some _, Some _ -> invalid_arg "run_exp_audited: both ?obs and ?mon"
+    | None, Some monitor -> Some (Obs.Bus.create ~monitor ())
+    | obs, None -> obs
   in
+  let txns = ref [] in
+  let result = run_exp ~on_txn:(fun t -> txns := t :: !txns) ?faults ?obs e in
   (result, List.rev !txns)
 
-let run_morty_with_config ?obs ?prof ?mon ?flight ?lineage e cfg =
-  Morty_run.run ~cfg ?obs ?prof ?mon ?flight ?lineage e
+let run_morty_with_config ?obs e cfg = Morty_run.run ~cfg ?obs e
 
 let find_peak ?(runner = List.map (fun f -> f ())) mk ~client_counts =
   let results = runner (List.map (fun n () -> run_exp (mk n)) client_counts) in

@@ -104,56 +104,42 @@ type cluster_ops = {
 val run_exp :
   ?on_txn:(Adya.History.txn -> unit) ->
   ?faults:(cluster_ops -> unit) ->
-  ?obs:Obs.Sink.t ->
-  ?prof:Obs.Profile.t ->
-  ?mon:Obs.Monitor.t ->
-  ?flight:Obs.Flight.t ->
-  ?lineage:Obs.Lineage.t ->
+  ?obs:Obs.Bus.t ->
   exp ->
   Stats.result
 (** [on_txn] receives one {!Adya.History.txn} per finished transaction
     (all four systems), in finish order over the whole run including
     warm-up — the raw material for the serializability audit.  [faults]
     may schedule crash/partition/loss/delay events via the
-    {!cluster_ops}.  [obs] (default {!Obs.Sink.null}) collects span
-    traces from every client and, when enabled, per-replica metrics
-    samples on a read-only virtual-time ticker.  [prof] (default
-    {!Obs.Profile.null}) collects the critical-path profile: per-txn
-    latency decomposition for measurement-window commits, the
-    wasted-work ledger over replica CPU time, and the key-contention
-    heatmap.  [mon] (default {!Obs.Monitor.null}) receives every
-    replica's and coordinator's state-transition hooks, the cluster's
-    {!Obs.Monitor.state_view} source and kill incidents.  [flight]
-    (default {!Obs.Flight.null}) taps engine dispatches, message traffic
-    and span openings into its bounded ring.  [lineage] (default
-    {!Obs.Lineage.null}) records per-transaction causal lineage —
-    reads with superseding writers, re-execution triggers with
-    aggressors, typed abort blame — from every client {e and} replica
-    of the run; workload kind labels are staged per attempt, and the
-    run's {!Obs.Lineage.summary} lands in [Stats.r_lineage].  None of
-    the five draws randomness or alters scheduling, so enabling them
-    never changes the simulated history. *)
+    {!cluster_ops}.  [obs] (default {!Obs.Bus.null}) is the run's one
+    observation stream: every client and replica emits its events into
+    it once, and its enabled recorders derive their artifacts from them
+    — span traces (plus per-replica metrics samples on a read-only
+    virtual-time ticker), the critical-path profile of
+    measurement-window commits, the online monitors (which also get the
+    cluster's {!Obs.Monitor.state_view} source and kill incidents), the
+    flight recorder's ring (which also taps engine dispatches and
+    message traffic) and per-transaction causal lineage (with workload
+    kind labels staged per attempt, and the run's
+    {!Obs.Lineage.summary} in [Stats.r_lineage]).  No recorder draws
+    randomness or alters scheduling, so attaching any never changes the
+    simulated history. *)
 
 val run_exp_audited :
   ?faults:(cluster_ops -> unit) ->
-  ?obs:Obs.Sink.t ->
-  ?prof:Obs.Profile.t ->
+  ?obs:Obs.Bus.t ->
   ?mon:Obs.Monitor.t ->
-  ?flight:Obs.Flight.t ->
-  ?lineage:Obs.Lineage.t ->
   exp ->
   Stats.result * Adya.History.txn list
 (** {!run_exp} plus the recorded history, in transaction-finish order.
     Feed the list to [Adya.History.of_list] / [Adya.Dsg.check] (or to
-    [Explore.Audit.check], which also applies the sanity
-    invariants). *)
+    [Explore.Audit.check], which also applies the sanity invariants).
+    [mon] is short for [~obs:(Obs.Bus.create ~monitor:mon ())], for
+    callers that attach monitors alone; it cannot be combined with
+    [obs]. *)
 
 val run_morty_with_config :
-  ?obs:Obs.Sink.t ->
-  ?prof:Obs.Profile.t ->
-  ?mon:Obs.Monitor.t ->
-  ?flight:Obs.Flight.t ->
-  ?lineage:Obs.Lineage.t ->
+  ?obs:Obs.Bus.t ->
   exp ->
   Morty.Config.t ->
   Stats.result

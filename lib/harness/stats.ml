@@ -131,8 +131,8 @@ type result = {
 
 let to_result t ~label ~duration_us ~cpu_utilization ~reexecs_per_txn
     ?(msgs_per_txn = 0.) ?(events = no_events) ?(recovery = no_recovery)
-    ?(avail = no_avail) ?(engstat = Obs.Engstat.zero) ?(lineage = no_lineage)
-    () =
+    ?(avail = no_avail) ?(engstat = Obs.Engstat.zero)
+    ?(lineage_summary = no_lineage) () =
   let phase_ms p = Obs.Hist.mean t.phases.(phase_index p) /. 1000. in
   {
     r_label = label;
@@ -155,7 +155,7 @@ let to_result t ~label ~duration_us ~cpu_utilization ~reexecs_per_txn
     r_recovery = recovery;
     r_avail = avail;
     r_engstat = engstat;
-    r_lineage = lineage;
+    r_lineage = lineage_summary;
   }
 
 let abort_count r reason =

@@ -144,7 +144,7 @@ val to_result :
   ?recovery:recovery ->
   ?avail:avail ->
   ?engstat:Obs.Engstat.t ->
-  ?lineage:Obs.Lineage.summary ->
+  ?lineage_summary:Obs.Lineage.summary ->
   unit ->
   result
 

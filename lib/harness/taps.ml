@@ -18,8 +18,8 @@ let metrics_interval_us = 10_000
    ticker fires short of it, so the final partial window would otherwise
    go unrecorded.  [finish] closes the series with one sample pinned at
    the horizon (and is a no-op when a tick already landed there). *)
-let install_metrics ~engine ~obs ~horizon ~sample =
-  if Obs.Sink.enabled obs then begin
+let install_metrics ~engine ~sink ~horizon ~sample =
+  if Obs.Sink.enabled sink then begin
     let last = ref (-1) in
     let rec tick () =
       last := Engine.now engine;
@@ -44,12 +44,12 @@ let busy_frac prev ~slot ~cores ~busy_us =
   prev.(slot) <- busy_us;
   min 1.0 (float_of_int d /. float_of_int (metrics_interval_us * max 1 cores))
 
-(* Flight-recorder taps: read-only observers on the engine dispatcher,
-   the network (sends with drop flags, handler deliveries) and the trace
-   sink (span openings).  All three draw no randomness and change no
-   scheduling, so a seeded run stays byte-identical with the recorder
-   attached. *)
-let attach_flight ~engine ~net ~obs ~flight ~label =
+(* Flight-recorder taps: read-only observers on the engine dispatcher
+   and the network (sends with drop flags, handler deliveries); the
+   trace sink's entries reach the ring through [Obs.Bus].  Neither tap
+   draws randomness or changes scheduling, so a seeded run stays
+   byte-identical with the recorder attached. *)
+let attach_flight ~engine ~net ~flight ~label =
   if Obs.Flight.enabled flight then begin
     Engine.set_observer engine (fun ~ts kind ->
         let kind =
@@ -69,12 +69,7 @@ let attach_flight ~engine ~net ~obs ~flight ~label =
         Obs.Flight.record flight
           (Obs.Flight.Deliver
              { fl_ts = ne_ts; src = ne_src; dst = ne_dst; kind = label ne_msg;
-               send_us = ne_send_us }));
-    Obs.Sink.set_observer obs (fun (e : Obs.Sink.event) ->
-        Obs.Flight.record flight
-          (Obs.Flight.Span
-             { fl_ts = e.ev_ts; name = e.ev_name; cat = e.ev_cat;
-               pid = e.ev_pid; dur = e.ev_dur }))
+               send_us = ne_send_us }))
   end
 
 let events_of_engine engine =

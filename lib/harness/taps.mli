@@ -8,7 +8,7 @@ val metrics_interval_us : int
 
 val install_metrics :
   engine:Sim.Engine.t ->
-  obs:Obs.Sink.t ->
+  sink:Obs.Sink.t ->
   horizon:int ->
   sample:(now:int -> unit) ->
   unit ->
@@ -26,13 +26,12 @@ val busy_frac : int array -> slot:int -> cores:int -> busy_us:int -> float
 val attach_flight :
   engine:Sim.Engine.t ->
   net:'msg Simnet.Net.t ->
-  obs:Obs.Sink.t ->
   flight:Obs.Flight.t ->
   label:('msg -> string) ->
   unit
-(** Tap engine dispatches, message sends and deliveries (named by
-    [label]) and span openings into [flight]; no-op when it is
-    disabled. *)
+(** Tap engine dispatches and message sends and deliveries (named by
+    [label]) into [flight]; no-op when it is disabled.  The trace
+    sink's entries reach it through {!Obs.Bus}. *)
 
 val events_of_engine : Sim.Engine.t -> Stats.events
 

@@ -115,10 +115,7 @@ type t = {
      (ver, eid) -> acks so far. *)
   abandon_acks : (Version.t * int, Net.node list ref) Hashtbl.t;
   stats : stats;
-  obs : Obs.Sink.t;
-  prof : Obs.Profile.t;
-  mon : Obs.Monitor.t;
-  lin : Obs.Lineage.t;
+  obs : Obs.Bus.t;
   (* Critical-path attribution: the transaction the closed-loop driver
      is currently running (one at a time per client), its component
      cells, and the end of the last attributed wait interval. *)
@@ -173,24 +170,7 @@ let stale ctx = ctx.c_eid <> ctx.c_txn.eid || ctx.c_txn.finished
 
 (* --- Observability helpers --------------------------------------------- *)
 
-let ver_arg txn = ("ver", Obs.Sink.S (Fmt.str "%a" Version.pp txn.ver))
-(* [Version.zero] marks pre-loaded initial data: writerless, so it maps
-   to the lineage layer's v0 rather than leaking the sentinel pair. *)
-let vpair (v : Version.t) =
-  if Version.equal v Version.zero then Obs.Lineage.v0
-  else (v.Version.ts, v.Version.id)
-
-(* Deterministic flow id tying a superseded execution to its
-   re-execution in the Chrome trace: a pure function of (ver, old eid),
-   so same-seed runs emit identical arrows. *)
-let flow_id txn =
-  ((txn.ver.Version.ts land 0xFFFFF) lsl 16)
-  lor ((txn.ver.Version.id land 0xFF) lsl 8)
-  lor (txn.eid land 0xFF)
-
-let mark t txn name args =
-  Obs.Sink.instant t.obs ~name ~cat:"txn" ~ts:(Engine.now t.engine) ~pid:t.node
-    ~args:(ver_arg txn :: args) ()
+let emit t ev = Obs.Bus.emit t.obs ~ts:(Engine.now t.engine) ~pid:t.node ev
 
 (* Close the currently open phase segment, crediting its duration to the
    right accumulator and emitting its span.  Called at every phase
@@ -211,10 +191,11 @@ let close_segment t txn =
       "finalize"
     | Done -> "done"
   in
-  if Obs.Sink.enabled t.obs && txn.phase <> Done then
-    Obs.Sink.span t.obs ~name ~cat:"phase" ~ts:txn.ph_start_us ~dur ~pid:t.node
-      ~args:[ ver_arg txn; ("eid", Obs.Sink.I txn.eid) ]
-      ();
+  if Obs.Bus.on t.obs && txn.phase <> Done then
+    emit t
+      (Obs.Bus.Phase
+         { ver = Version.to_pair txn.ver; name; start_us = txn.ph_start_us;
+           eid = Some txn.eid });
   txn.ph_start_us <- now;
   txn.seg_reexec <- false
 
@@ -257,16 +238,8 @@ let finish t txn outcome =
     (match t.c_cur with
     | Some cur when cur == txn ->
       profile_wait t None;
-      Obs.Profile.note_outcome t.prof
-        ~ver:(txn.ver.Version.ts, txn.ver.Version.id)
-        ~committed:(Outcome.is_committed outcome)
-        ~final_eid:txn.eid;
       t.c_cur <- None
-    | Some _ | None ->
-      Obs.Profile.note_outcome t.prof
-        ~ver:(txn.ver.Version.ts, txn.ver.Version.id)
-        ~committed:(Outcome.is_committed outcome)
-        ~final_eid:txn.eid);
+    | Some _ | None -> ());
     close_segment t txn;
     txn.phase <- Done;
     Hashtbl.remove t.txns txn.ver;
@@ -283,30 +256,13 @@ let finish t txn outcome =
     (match outcome with
      | Outcome.Committed -> t.stats.committed <- t.stats.committed + 1
      | Outcome.Aborted _ -> t.stats.aborted <- t.stats.aborted + 1);
-    if Obs.Sink.enabled t.obs then begin
-      let now = Engine.now t.engine in
-      (match outcome with
-      | Outcome.Committed -> mark t txn "commit" []
-      | Outcome.Aborted r ->
-        mark t txn "abort"
-          [ ("reason", Obs.Sink.S (Obs.Abort_reason.to_string r)) ]);
-      Obs.Sink.span t.obs ~name:"txn" ~cat:"txn" ~ts:txn.t_start_us
-        ~dur:(now - txn.t_start_us) ~pid:t.node
-        ~args:
-          (ver_arg txn
-          :: ("outcome", Obs.Sink.S (Fmt.str "%a" Outcome.pp outcome))
-          :: ("reexecs", Obs.Sink.I txn.reexec_count)
-          :: [])
-        ()
-    end;
-    Obs.Lineage.note_finish t.lin ~ver:(vpair txn.ver)
-      ~committed:(Outcome.is_committed outcome)
-      ~reason:
-        (match Outcome.reason outcome with
-        | Some r -> Obs.Abort_reason.to_string r
-        | None -> "")
-      ~work_us:(txn.exec_us + txn.prep_us + txn.fin_us)
-      ~ts:(Engine.now t.engine);
+    if Obs.Bus.on t.obs then
+      emit t
+        (Obs.Bus.Finish
+           { ver = Version.to_pair txn.ver; start_us = txn.t_start_us;
+             abort = Outcome.reason outcome; reexecs = Some txn.reexec_count;
+             work_us = txn.exec_us + txn.prep_us + txn.fin_us;
+             final_eid = txn.eid; span = true });
     (match t.on_finish with
      | Some f ->
        f
@@ -334,12 +290,11 @@ let finish t txn outcome =
   end
 
 let decide t txn eid decision ~abort =
-  if Obs.Sink.enabled t.obs then
-    mark t txn "decide"
-      [
-        ("eid", Obs.Sink.I eid);
-        ("decision", Obs.Sink.S (Fmt.str "%a" Decision.pp decision));
-      ];
+  if Obs.Bus.on t.obs then
+    emit t
+      (Obs.Bus.Decide
+         { ver = Version.to_pair txn.ver; eid;
+           decision = Decision.to_string decision });
   broadcast t
     (Msg.Decide
        {
@@ -418,14 +373,15 @@ and observe_fast_path t txn p votes =
   (* Fast-path vote consistency: taking the fast path claims a full
      2f+1 quorum of matching Commit votes — hand the monitor the votes
      actually held so it can re-check. *)
-  if Obs.Monitor.enabled t.mon then
-    Obs.Monitor.observe t.mon ~ts:(Engine.now t.engine)
-      (Obs.Monitor.Fast_path
-         {
-           ver = (txn.ver.Version.ts, txn.ver.Version.id);
-           quorum = (2 * t.cfg.f) + 1;
-           votes = List.map (fun v -> Fmt.str "%a" Vote.pp v) votes;
-         });
+  if Obs.Bus.monitoring t.obs then
+    emit t
+      (Obs.Bus.State
+         (Obs.Monitor.Fast_path
+            {
+              ver = (txn.ver.Version.ts, txn.ver.Version.id);
+              quorum = (2 * t.cfg.f) + 1;
+              votes = List.map (fun v -> Fmt.str "%a" Vote.pp v) votes;
+            }));
   ignore p
 
 and evaluate_votes t txn p =
@@ -477,15 +433,10 @@ and start_finalize t txn eid decision =
 and reexecute t txn idx (slot : slot) w_ver value ~trigger =
   t.stats.reexecs <- t.stats.reexecs + 1;
   txn.reexec_count <- txn.reexec_count + 1;
-  Obs.Profile.note_reexec t.prof ~key:slot.s_key;
   (* Flow arrow source: anchored inside the execution span being
-     superseded (which close_segment below ends at [now]).  The id is a
-     pure function of (ver, superseded eid), shared with the arrow head
-     emitted after the phase switch. *)
-  let fid = flow_id txn in
-  if Obs.Sink.enabled t.obs then
-    Obs.Sink.flow t.obs ~name:"reexec" ~cat:"flow" ~ts:(Engine.now t.engine)
-      ~pid:t.node ~id:fid ~start:true ();
+     superseded (which close_segment below ends at [now]). *)
+  if Obs.Bus.on t.obs then
+    emit t (Obs.Bus.Supersede { ver = Version.to_pair txn.ver; eid = txn.eid });
   Log.debug (fun m ->
       m "txn %a re-executes from read %d of %s" Version.pp txn.ver idx slot.s_key);
   (* If the current execution already entered Prepare, durably abandon it
@@ -509,31 +460,26 @@ and reexecute t txn idx (slot : slot) w_ver value ~trigger =
      execute segment is labelled as a re-execution span. *)
   txn.t_reason <- None;
   txn.seg_reexec <- true;
-  if Obs.Sink.enabled t.obs then begin
-    mark t txn "reexecute"
-      [
-        ("eid", Obs.Sink.I txn.eid);
-        ("from_read", Obs.Sink.I idx);
-        ("key", Obs.Sink.S slot.s_key);
-      ];
-    (* Flow arrow head: lands in the fresh execution's span. *)
-    Obs.Sink.flow t.obs ~name:"reexec" ~cat:"flow" ~ts:(Engine.now t.engine)
-      ~pid:t.node ~id:fid ~start:false ()
-  end;
-  (* When the corrected version is the initial datum (the observed writer
-     aborted and the read reverts), the blame lies with the writer whose
+  (* The flow arrow's head lands in the fresh execution's span, and the
+     corrected read is the new execution's first observation.  When the
+     corrected version is the initial datum (the observed writer aborted
+     and the read reverts), the blame lies with the writer whose
      disappearance triggered this re-execution — the version the slot
      observed before the unroll below overwrites it. *)
-  let aggressor =
-    let corrected = vpair w_ver in
-    if corrected <> Obs.Lineage.v0 then corrected
-    else
-      match slot.s_reply with
-      | Some (old_ver, _) -> vpair old_ver
-      | None -> Obs.Lineage.v0
-  in
-  Obs.Lineage.note_reexec t.lin ~ver:(vpair txn.ver) ~eid:txn.eid ~trigger
-    ~key:slot.s_key ~aggressor ~ts:(Engine.now t.engine);
+  if Obs.Bus.on t.obs then begin
+    let from = Version.to_pair w_ver in
+    let aggressor =
+      if from <> Obs.Lineage.v0 then from
+      else
+        match slot.s_reply with
+        | Some (old_ver, _) -> Version.to_pair old_ver
+        | None -> Obs.Lineage.v0
+    in
+    emit t
+      (Obs.Bus.Reexec
+         { ver = Version.to_pair txn.ver; eid = txn.eid; from_read = idx;
+           key = slot.s_key; trigger; aggressor; from })
+  end;
   (* Unroll: keep the operation prefix up to and including this read. *)
   txn.slots <-
     List.filter_map
@@ -551,9 +497,6 @@ and reexecute t txn idx (slot : slot) w_ver value ~trigger =
     | op :: rest -> prefix (op :: acc) rest
   in
   txn.ops <- prefix [] txn.ops;
-  (* The corrected read is the first observation of the new execution. *)
-  Obs.Lineage.note_read t.lin ~ver:(vpair txn.ver) ~key:slot.s_key
-    ~from:(vpair w_ver) ~eid:txn.eid ~ts:(Engine.now t.engine);
   (* Resume the application from the stored continuation. *)
   slot.s_cont { c_txn = txn; c_eid = txn.eid } value
 
@@ -605,14 +548,12 @@ let handle_get_reply t for_ver key w_ver value seq =
       match slot with
       | Some slot when slot.s_reply = None ->
         slot.s_reply <- Some (w_ver, value);
-        if Obs.Sink.enabled t.obs then
-          Obs.Sink.span t.obs ~name:"read" ~cat:"op" ~ts:slot.s_sent_us
-            ~dur:(Engine.now t.engine - slot.s_sent_us)
-            ~pid:t.node
-            ~args:[ ver_arg txn; ("key", Obs.Sink.S slot.s_key) ]
-            ();
-        Obs.Lineage.note_read t.lin ~ver:(vpair txn.ver) ~key:slot.s_key
-          ~from:(vpair w_ver) ~eid:txn.eid ~ts:(Engine.now t.engine);
+        if Obs.Bus.on t.obs then
+          emit t
+            (Obs.Bus.Read
+               { ver = Version.to_pair txn.ver; key = slot.s_key;
+                 from = Version.to_pair w_ver; eid = txn.eid;
+                 sent_us = slot.s_sent_us });
         slot.s_cont { c_txn = txn; c_eid = txn.eid } value
       | Some _ | None -> (* stale or duplicate *) ())
     | None ->
@@ -717,8 +658,8 @@ let ro_mk_txn t ~ver ~ro =
   t.c_cur <- Some txn;
   t.c_comps <- Array.make Obs.Profile.n_cells 0;
   t.c_last_ev <- now;
-  if Obs.Sink.enabled t.obs then mark t txn "begin" [];
-  Obs.Lineage.note_begin t.lin ~ver:(vpair ver) ~ts:now;
+  if Obs.Bus.on t.obs then
+    emit t (Obs.Bus.Begin { ver = Version.to_pair ver; ro = false });
   txn
 
 (* Retire a pinned execution without recording anything: the re-pin
@@ -779,18 +720,19 @@ let ro_handle_pin_reply t st ~src wm =
       end
       else begin
         let ver = ro_ver t w.Version.ts in
-        (if Obs.Monitor.enabled t.mon then
+        (if Obs.Bus.monitoring t.obs then
            match ro_replica_ix t src with
            | Some ix ->
-             Obs.Monitor.observe t.mon ~ts:(Engine.now t.engine)
-               (Obs.Monitor.Ro_pin
-                  {
-                    replica = Printf.sprintf "r%d" ix;
-                    snap = (ver.Version.ts, ver.Version.id);
-                    wm = (w.Version.ts, w.Version.id);
-                    staleness_us = staleness;
-                    bound_us = t.cfg.max_staleness_us;
-                  })
+             emit t
+               (Obs.Bus.State
+                  (Obs.Monitor.Ro_pin
+                     {
+                       replica = Printf.sprintf "r%d" ix;
+                       snap = (ver.Version.ts, ver.Version.id);
+                       wm = (w.Version.ts, w.Version.id);
+                       staleness_us = staleness;
+                       bound_us = t.cfg.max_staleness_us;
+                     }))
            | None -> ());
         (* A fresh pin starts a fresh redirect cycle. *)
         st.rs_attempt <- 0;
@@ -865,9 +807,8 @@ let handle t ~src msg =
 
 (* --- Public API --------------------------------------------------------- *)
 
-let create ~cfg ~engine ~net ~rng ~region ~replicas ?(obs = Obs.Sink.null ())
-    ?(prof = Obs.Profile.null ()) ?(mon = Obs.Monitor.null ())
-    ?(lineage = Obs.Lineage.null ()) ?on_finish () =
+let create ~cfg ~engine ~net ~rng ~region ~replicas ?(obs = Obs.Bus.null ())
+    ?on_finish () =
   let node = Net.add_node net ~region in
   let closest_ix =
     let n = Array.length replicas in
@@ -899,9 +840,6 @@ let create ~cfg ~engine ~net ~rng ~region ~replicas ?(obs = Obs.Sink.null ())
         { begun = 0; committed = 0; aborted = 0; reexecs = 0;
           miss_notifications = 0; fast_commits = 0; slow_commits = 0 };
       obs;
-      prof;
-      mon;
-      lin = lineage;
       c_cur = None;
       c_comps = Array.make Obs.Profile.n_cells 0;
       c_last_ev = 0;
@@ -910,7 +848,7 @@ let create ~cfg ~engine ~net ~rng ~region ~replicas ?(obs = Obs.Sink.null ())
   in
   (* Provenance feeds only the profiler: skip it when none is attached. *)
   Net.set_handler net node (fun ~src msg ->
-      if Obs.Profile.enabled t.prof then profile_arrival t;
+      if Obs.Bus.profiling t.obs then profile_arrival t;
       handle t ~src msg);
   t
 
@@ -945,8 +883,8 @@ let begin_ t body =
   t.c_cur <- Some txn;
   t.c_comps <- Array.make Obs.Profile.n_cells 0;
   t.c_last_ev <- now;
-  if Obs.Sink.enabled t.obs then mark t txn "begin" [];
-  Obs.Lineage.note_begin t.lin ~ver:(vpair ver) ~ts:now;
+  if Obs.Bus.on t.obs then
+    emit t (Obs.Bus.Begin { ver = Version.to_pair ver; ro = false });
   body { c_txn = txn; c_eid = 0 }
 
 (* Snapshot read of a pinned follower-read transaction: all reads go to

@@ -42,21 +42,16 @@ val create :
   rng:Sim.Rng.t ->
   region:Simnet.Latency.region ->
   replicas:int array ->
-  ?obs:Obs.Sink.t ->
-  ?prof:Obs.Profile.t ->
-  ?mon:Obs.Monitor.t ->
-  ?lineage:Obs.Lineage.t ->
+  ?obs:Obs.Bus.t ->
   ?on_finish:(record -> unit) ->
   unit ->
   t
 (** Register a client node in [region].  [replicas] are the replica node
     ids in index order; reads go to the replica co-located with the
     client's region (the first one whose region matches, else replica
-    0).  [prof] receives latency decomposition, outcome and re-execution
-    hooks (default {!Obs.Profile.null}); [mon] (default
-    {!Obs.Monitor.null}) checks fast-path vote consistency; [lineage]
-    (default {!Obs.Lineage.null}) records per-transaction reads,
-    re-executions with trigger and aggressor, and typed finishes. *)
+    0).  [obs] (default {!Obs.Bus.null}) receives every begin, read,
+    phase, re-execution, decision and finish, and fast-path votes for
+    the monitors; message provenance is read only when it profiles. *)
 
 val node : t -> Simnet.Net.node
 

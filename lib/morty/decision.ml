@@ -1,8 +1,7 @@
 type t = Commit | Abandon
 
-let pp ppf = function
-  | Commit -> Fmt.string ppf "commit"
-  | Abandon -> Fmt.string ppf "abandon"
+let to_string = function Commit -> "commit" | Abandon -> "abandon"
+let pp ppf d = Fmt.string ppf (to_string d)
 
 let equal a b =
   match (a, b) with

@@ -7,6 +7,7 @@
 
 type t = Commit | Abandon
 
+val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 
 val equal : t -> t -> bool

@@ -70,9 +70,7 @@ type t = {
   node : Net.node;
   cores : int;
   cpu : Cpu.t;
-  prof : Obs.Profile.t;
-  mon : Obs.Monitor.t;
-  lin : Obs.Lineage.t;
+  obs : Obs.Bus.t;
   mutable peers : int array;
   store : Mvstore.Vstore.t;
   erecord : (Version.t * int, exec_entry) Hashtbl.t;
@@ -114,17 +112,27 @@ let cpu t = t.cpu
 let stats t = t.stats
 let watermark t = t.watermark
 
-(* --- Invariant-monitor plumbing ---------------------------------------- *)
+(* --- Observation ---------------------------------------------------------- *)
 
-(* [Version.zero] marks pre-loaded initial data: writerless, so it maps
-   to the lineage layer's v0 rather than leaking the sentinel pair. *)
-let vpair (v : Version.t) =
-  if Version.equal v Version.zero then Obs.Lineage.v0
-  else (v.Version.ts, v.Version.id)
 let mon_label t = Printf.sprintf "r%d" t.index
+let emit t ev = Obs.Bus.emit t.obs ~ts:(Engine.now t.engine) ~pid:t.node ev
+let observe t tr = emit t (Obs.Bus.State tr)
 
-let observe t tr =
-  Obs.Monitor.observe t.mon ~ts:(Sim.Engine.now t.engine) tr
+let observe_install t key ver =
+  if Obs.Bus.monitoring t.obs then
+    observe t
+      (Obs.Monitor.Commit_install
+         { replica = mon_label t; key; ver = Version.to_pair ver })
+
+(* Contention on [key] while validating [ver]: a profiled conflict
+   and/or abort blame, and the lineage record's aggressor and reason. *)
+let blame t ver key ~conflict ~abort_key lineage =
+  if Obs.Bus.on t.obs then
+    emit t
+      (Obs.Bus.Blame
+         { ver = Version.to_pair ver; key; conflict; abort_key;
+           lineage =
+             Option.map (fun (v, reason) -> (Version.to_pair v, reason)) lineage })
 let stop t = t.stopped <- true
 let is_stopped t = t.stopped
 let is_recovering t = match t.mode with Recovering _ -> true | Normal -> false
@@ -168,7 +176,7 @@ let entry t ver eid =
         decision = None; read_set = []; write_set = [] }
     in
     Hashtbl.replace t.erecord (ver, eid) e;
-    if Obs.Monitor.enabled t.mon then
+    if Obs.Bus.monitoring t.obs then
       observe t
         (Obs.Monitor.Record_count
            { replica = mon_label t; count = Hashtbl.length t.erecord });
@@ -211,11 +219,11 @@ let handle_get t ~src ver key seq =
   in
   Mvstore.Vrecord.add_read vr ~reader:ver ~coord:src reply;
   add_to_keyset t.read_keys ver key;
-  if Obs.Monitor.enabled t.mon then
+  if Obs.Bus.monitoring t.obs then
     observe t
       (Obs.Monitor.Read_serve
-         { replica = mon_label t; key; reader = vpair ver;
-           served = vpair reply.r_ver });
+         { replica = mon_label t; key; reader = Version.to_pair ver;
+           served = Version.to_pair reply.r_ver });
   send t src
     (Msg.Get_reply
        { for_ver = ver; key; w_ver = reply.r_ver; value = reply.r_val; seq = Some seq })
@@ -225,11 +233,11 @@ let handle_get t ~src ver key seq =
 let notify_read t key (r : Mvstore.Vrecord.read) (reply : Mvstore.Vrecord.reply) =
   r.last <- reply;
   t.stats.miss_notifications <- t.stats.miss_notifications + 1;
-  if Obs.Monitor.enabled t.mon then
+  if Obs.Bus.monitoring t.obs then
     observe t
       (Obs.Monitor.Read_serve
-         { replica = mon_label t; key; reader = vpair r.reader;
-           served = vpair reply.r_ver });
+         { replica = mon_label t; key; reader = Version.to_pair r.reader;
+           served = Version.to_pair reply.r_ver });
   send t r.coord
     (Msg.Get_reply
        { for_ver = r.reader; key; w_ver = reply.r_ver; value = reply.r_val; seq = None })
@@ -289,7 +297,7 @@ let validate t ver (read_set : Rwset.read_set) (write_set : Rwset.write_set) =
   let vote = ref Vote.Commit in
   let missed = ref [] in
   let reason = ref None in
-  let blame r =
+  let cause r =
     reason :=
       Some (match !reason with None -> r | Some r0 -> Obs.Abort_reason.prefer r0 r)
   in
@@ -304,7 +312,7 @@ let validate t ver (read_set : Rwset.read_set) (write_set : Rwset.write_set) =
      abandons. *)
   if vote_fenced t ver then begin
     vote := Vote.Abandon_final;
-    blame Obs.Abort_reason.Watermark_abandon
+    cause Obs.Abort_reason.Watermark_abandon
   end;
   List.iter
     (fun (r : Rwset.read) ->
@@ -318,12 +326,11 @@ let validate t ver (read_set : Rwset.read_set) (write_set : Rwset.write_set) =
         in
         if not is_current then begin
           vote := Vote.Abandon_final;
-          blame Obs.Abort_reason.Watermark_abandon;
-          Obs.Lineage.note_conflict t.lin ~ver:(vpair ver) ~key:r.key
-            ~aggressor:Obs.Lineage.v0 ~reason:"watermark-abandon"
-            ~ts:(Engine.now t.engine)
+          cause Obs.Abort_reason.Watermark_abandon;
+          blame t ver r.key ~conflict:false ~abort_key:false
+            (Some (Version.zero, "watermark-abandon"))
         end
-        else if Obs.Monitor.enabled t.mon then
+        else if Obs.Bus.monitoring t.obs then
           (* Truncation-safety carve-out taken: the monitor re-checks
              that the accepted below-watermark read really names the
              newest committed write. *)
@@ -331,8 +338,9 @@ let validate t ver (read_set : Rwset.read_set) (write_set : Rwset.write_set) =
           | Some n ->
             observe t
               (Obs.Monitor.Trunc_read
-                 { replica = mon_label t; key = r.key; served = vpair r.r_ver;
-                   newest = vpair n })
+                 { replica = mon_label t; key = r.key;
+                   served = Version.to_pair r.r_ver;
+                   newest = Version.to_pair n })
           | None -> ())
     read_set;
   (* Check 3: dirty reads — every read must match a committed write
@@ -348,12 +356,9 @@ let validate t ver (read_set : Rwset.read_set) (write_set : Rwset.write_set) =
       in
       if not ok then begin
         vote := Vote.Abandon_final;
-        blame Obs.Abort_reason.Validation_fail;
-        Obs.Profile.note_conflict t.prof ~key:r.key;
-        Obs.Profile.note_abort_key t.prof ~key:r.key;
-        Obs.Lineage.note_conflict t.lin ~ver:(vpair ver) ~key:r.key
-          ~aggressor:(vpair r.r_ver) ~reason:"validation-fail"
-          ~ts:(Engine.now t.engine)
+        cause Obs.Abort_reason.Validation_fail;
+        blame t ver r.key ~conflict:true ~abort_key:true
+          (Some (r.r_ver, "validation-fail"))
       end)
     read_set;
   (* Check 1: did our reads miss any writes? *)
@@ -364,20 +369,15 @@ let validate t ver (read_set : Rwset.read_set) (write_set : Rwset.write_set) =
       | Mvstore.Vrecord.No_miss -> ()
       | Mvstore.Vrecord.Missed_committed m ->
         vote := worse !vote Vote.Abandon_final;
-        blame Obs.Abort_reason.Missed_write;
-        Obs.Profile.note_conflict t.prof ~key:r.key;
-        Obs.Profile.note_abort_key t.prof ~key:r.key;
-        Obs.Lineage.note_conflict t.lin ~ver:(vpair ver) ~key:r.key
-          ~aggressor:(vpair m.r_ver) ~reason:"missed-write"
-          ~ts:(Engine.now t.engine);
+        cause Obs.Abort_reason.Missed_write;
+        blame t ver r.key ~conflict:true ~abort_key:true
+          (Some (m.r_ver, "missed-write"));
         missed := (r.key, m.r_ver, m.r_val) :: !missed
       | Mvstore.Vrecord.Missed_uncommitted m ->
         vote := worse !vote Vote.Abandon_tentative;
-        blame Obs.Abort_reason.Missed_write;
-        Obs.Profile.note_conflict t.prof ~key:r.key;
-        Obs.Lineage.note_conflict t.lin ~ver:(vpair ver) ~key:r.key
-          ~aggressor:(vpair m.r_ver) ~reason:"missed-write"
-          ~ts:(Engine.now t.engine);
+        cause Obs.Abort_reason.Missed_write;
+        blame t ver r.key ~conflict:true ~abort_key:false
+          (Some (m.r_ver, "missed-write"));
         missed := (r.key, m.r_ver, m.r_val) :: !missed)
     read_set;
   (* Check 2: did other transactions' validated reads miss our writes? *)
@@ -386,17 +386,14 @@ let validate t ver (read_set : Rwset.read_set) (write_set : Rwset.write_set) =
       let vr = Mvstore.Vstore.find t.store w.key in
       if Mvstore.Vrecord.committed_read_missing_write vr ~w_ver:ver then begin
         vote := worse !vote Vote.Abandon_final;
-        blame Obs.Abort_reason.Missed_write;
-        Obs.Profile.note_conflict t.prof ~key:w.key;
-        Obs.Profile.note_abort_key t.prof ~key:w.key;
-        Obs.Lineage.note_conflict t.lin ~ver:(vpair ver) ~key:w.key
-          ~aggressor:Obs.Lineage.v0 ~reason:"missed-write"
-          ~ts:(Engine.now t.engine)
+        cause Obs.Abort_reason.Missed_write;
+        blame t ver w.key ~conflict:true ~abort_key:true
+          (Some (Version.zero, "missed-write"))
       end
       else if Mvstore.Vrecord.prepared_read_missing_write vr ~w_ver:ver then begin
         vote := worse !vote Vote.Abandon_tentative;
-        blame Obs.Abort_reason.Missed_write;
-        Obs.Profile.note_conflict t.prof ~key:w.key
+        cause Obs.Abort_reason.Missed_write;
+        blame t ver w.key ~conflict:true ~abort_key:false None
       end)
     write_set;
   { v_vote = !vote; v_missed = !missed; v_reason = !reason }
@@ -491,7 +488,7 @@ let rec process_prepare t ~src ver eid (read_set : Rwset.read_set) write_set =
             if e.suspended then ()
             else begin
             e.suspended <- true;
-            Obs.Profile.note_conflict t.prof ~key:dep.key;
+            blame t ver dep.key ~conflict:true ~abort_key:false None;
             let dep_ver = dep.r_ver in
             let thunks =
               match Hashtbl.find_opt t.waiting dep_ver with
@@ -530,10 +527,7 @@ and apply_commit t ver eid (read_set : Rwset.read_set) (write_set : Rwset.write_
     (fun (w : Rwset.write) ->
       let vr = Mvstore.Vstore.find t.store w.key in
       Mvstore.Vrecord.commit_write vr ~ver w.w_val;
-      if Obs.Monitor.enabled t.mon then
-        observe t
-          (Obs.Monitor.Commit_install
-             { replica = mon_label t; key = w.key; ver = vpair ver });
+      observe_install t w.key ver;
       List.iter
         (fun (r : Mvstore.Vrecord.read) ->
           if not (String.equal r.last.r_val w.w_val) then
@@ -955,8 +949,9 @@ and handle_truncation_finished t upto merged =
     | None -> true
   in
   if advanced then begin
-    if Obs.Monitor.enabled t.mon then
-      observe t (Obs.Monitor.Watermark { replica = mon_label t; wm = vpair upto });
+    if Obs.Bus.monitoring t.obs then
+      observe t
+        (Obs.Monitor.Watermark { replica = mon_label t; wm = Version.to_pair upto });
     t.watermark <- Some upto
   end;
   raise_fence t upto;
@@ -979,15 +974,16 @@ and handle_truncation_finished t upto merged =
   in
   List.iter (fun k -> Hashtbl.remove t.erecord k) stale;
   Mvstore.Vstore.iter t.store (fun _ vr -> Mvstore.Vrecord.gc_below vr upto);
-  if Obs.Monitor.enabled t.mon then
+  if Obs.Bus.monitoring t.obs then
     (* Store-version monotonicity across GC: truncation must retain each
        key's newest committed write. *)
     Mvstore.Vstore.iter t.store (fun key vr ->
         observe t
           (Obs.Monitor.Gc_survivor
              { replica = mon_label t; key;
-               newest = Option.map vpair (Mvstore.Vrecord.newest_committed vr);
-               wm = vpair upto }))
+               newest =
+                 Option.map Version.to_pair (Mvstore.Vrecord.newest_committed vr);
+               wm = Version.to_pair upto }))
 
 (* --- Follower reads (watermark snapshots) ------------------------------- *)
 
@@ -1009,10 +1005,11 @@ let handle_ro_get t ~src snap key seq ro_id =
   | Some wm when Version.compare snap wm >= 0 ->
     let vr = Mvstore.Vstore.find t.store key in
     let reply = Mvstore.Vrecord.latest_committed_before vr snap in
-    if Obs.Monitor.enabled t.mon then
+    if Obs.Bus.monitoring t.obs then
       observe t
         (Obs.Monitor.Ro_serve
-           { replica = mon_label t; key; snap = vpair snap; wm = vpair wm });
+           { replica = mon_label t; key; snap = Version.to_pair snap;
+             wm = Version.to_pair wm });
     send t src
       (Msg.Get_reply
          { for_ver = snap; key; w_ver = reply.r_ver; value = reply.r_val;
@@ -1094,10 +1091,7 @@ let absorb_catchup t ~src cu watermark decisions store erecord =
         List.iter
           (fun (ver, value) ->
             Mvstore.Vrecord.commit_write vr ~ver value;
-            if Obs.Monitor.enabled t.mon then
-              observe t
-                (Obs.Monitor.Commit_install
-                   { replica = mon_label t; key = s.s_key; ver = vpair ver }))
+            observe_install t s.s_key ver)
           s.s_versions;
         List.iter
           (fun (reader, r_ver) -> Mvstore.Vrecord.commit_read vr ~reader ~r_ver)
@@ -1131,8 +1125,9 @@ let absorb_catchup t ~src cu watermark decisions store erecord =
       when (match t.watermark with
             | Some cur -> Version.compare w cur > 0
             | None -> true) ->
-      if Obs.Monitor.enabled t.mon then
-        observe t (Obs.Monitor.Watermark { replica = mon_label t; wm = vpair w });
+      if Obs.Bus.monitoring t.obs then
+        observe t
+          (Obs.Monitor.Watermark { replica = mon_label t; wm = Version.to_pair w });
       t.watermark <- Some w
     | _ -> ()
   end
@@ -1319,15 +1314,12 @@ let schedule_truncation t =
    keep a stable address; [set_handler] atomically replaces the old
    incarnation's handler. *)
 let create_at ~node ~cfg ~engine ~net ~rng ~index ~cores
-    ?(prof = Obs.Profile.null ()) ?(mon = Obs.Monitor.null ())
-    ?(lineage = Obs.Lineage.null ()) () =
+    ?(obs = Obs.Bus.null ()) () =
   let t =
     {
       cfg; engine; net; rng; index; node; cores;
       cpu = Cpu.create engine ~cores;
-      prof;
-      mon;
-      lin = lineage;
+      obs;
       peers = [||];
       store = Mvstore.Vstore.create ();
       erecord = Hashtbl.create 4096;
@@ -1355,7 +1347,7 @@ let create_at ~node ~cfg ~engine ~net ~rng ~index ~cores
   in
   Net.set_handler net node (fun ~src msg ->
       let cost = service_cost t msg in
-      if not (Obs.Profile.enabled t.prof) then
+      if not (Obs.Bus.profiling t.obs) then
         Cpu.submit t.cpu ~cost (fun () -> handle t ~src msg)
       else begin
         (* Provenance: capture the inbound transit here (delivery info is
@@ -1370,8 +1362,7 @@ let create_at ~node ~cfg ~engine ~net ~rng ~index ~cores
         Cpu.submit t.cpu ~cost
           ~prov:(fun ~queue_us ~start_us:_ ~end_us:_ ->
             let ver, eid = busy_owner msg in
-            Obs.Profile.note_busy t.prof ~kind:(Msg.label msg) ~ver ~eid
-              ~cost_us:cost;
+            emit t (Obs.Bus.Busy { kind = Msg.label msg; ver; eid; cost_us = cost });
             Net.set_send_path net ~transit_us ~queue_us ~service_us:cost)
           (fun () ->
             handle t ~src msg;
@@ -1380,9 +1371,9 @@ let create_at ~node ~cfg ~engine ~net ~rng ~index ~cores
   schedule_truncation t;
   t
 
-let create ~cfg ~engine ~net ~rng ~index ~region ~cores ?prof ?mon ?lineage () =
+let create ~cfg ~engine ~net ~rng ~index ~region ~cores ?obs () =
   create_at ~node:(Net.add_node net ~region) ~cfg ~engine ~net ~rng ~index ~cores
-    ?prof ?mon ?lineage ()
+    ?obs ()
 
 (* Per-replica introspection: a protocol-agnostic snapshot of this
    replica's state for monitors and post-mortem bundles. *)
@@ -1395,7 +1386,7 @@ let state_view t =
     Obs.Monitor.v_replica = mon_label t;
     v_stopped = t.stopped;
     v_recovering = is_recovering t;
-    v_watermark = Option.map vpair t.watermark;
+    v_watermark = Option.map Version.to_pair t.watermark;
     v_records = Hashtbl.length t.erecord;
     v_store_keys = store_size t;
     v_store_versions = !versions;

@@ -44,21 +44,16 @@ val create :
   index:int ->
   region:Simnet.Latency.region ->
   cores:int ->
-  ?prof:Obs.Profile.t ->
-  ?mon:Obs.Monitor.t ->
-  ?lineage:Obs.Lineage.t ->
+  ?obs:Obs.Bus.t ->
   unit ->
   t
 (** Create replica [index] (of [2f+1]) and register it on the network.
     [peers] must be completed with {!set_peers} before traffic flows.
-    [prof] (default {!Obs.Profile.null}) receives busy-time and
-    contention hooks; when set, replies also carry message provenance
-    ({!Simnet.Net.set_send_path}) for the client-side decomposition.
-    [mon] (default {!Obs.Monitor.null}) receives state-transition hooks
-    for the online invariant monitors; purely observational.  [lineage]
-    (default {!Obs.Lineage.null}) receives typed conflict records from
-    validation (key, aggressor version, reason) for the provenance
-    DAG. *)
+    [obs] (default {!Obs.Bus.null}) receives CPU busy time, validation
+    blames (key, aggressor version, reason) and state transitions for
+    the monitors; purely observational.  When it profiles, replies also
+    carry message provenance ({!Simnet.Net.set_send_path}) for the
+    client-side decomposition. *)
 
 val create_at :
   node:Simnet.Net.node ->
@@ -68,9 +63,7 @@ val create_at :
   rng:Sim.Rng.t ->
   index:int ->
   cores:int ->
-  ?prof:Obs.Profile.t ->
-  ?mon:Obs.Monitor.t ->
-  ?lineage:Obs.Lineage.t ->
+  ?obs:Obs.Bus.t ->
   unit ->
   t
 (** Like {!create}, but re-registers a fresh (amnesiac) incarnation on a

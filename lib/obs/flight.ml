@@ -1,11 +1,10 @@
 (* Flight recorder: a bounded ring buffer of the most recent
    fine-grained events in a run — engine dispatches, message sends and
-   deliveries with provenance, span openings, and free-form notes
-   (kills, violations).  Purely observational: recording draws no
-   randomness and changes nothing, so an attached recorder leaves a
-   seeded run byte-identical.  When something goes wrong the ring is
-   what a post-mortem bundle ships as "the last N things that
-   happened". *)
+   deliveries with provenance, and the trace sink's entries.  Purely
+   observational: recording draws no randomness and changes nothing, so
+   an attached recorder leaves a seeded run byte-identical.  When
+   something goes wrong the ring is what a post-mortem bundle ships as
+   "the last N things that happened". *)
 
 type entry =
   | Span of { fl_ts : int; name : string; cat : string; pid : int; dur : int }
@@ -18,7 +17,6 @@ type entry =
       send_us : int;
     }
   | Engine_ev of { fl_ts : int; kind : string }
-  | Note of { fl_ts : int; text : string }
 
 type t = {
   enabled : bool;
@@ -49,8 +47,6 @@ let record t e =
     t.total <- t.total + 1
   end
 
-let note t ~ts text = record t (Note { fl_ts = ts; text })
-
 let entries t =
   if t.total = 0 then []
   else begin
@@ -69,8 +65,7 @@ let entry_ts = function
   | Span { fl_ts; _ }
   | Send { fl_ts; _ }
   | Deliver { fl_ts; _ }
-  | Engine_ev { fl_ts; _ }
-  | Note { fl_ts; _ } -> fl_ts
+  | Engine_ev { fl_ts; _ } -> fl_ts
 
 let add_entry b e =
   let fld = Json.fld b in
@@ -115,12 +110,7 @@ let add_entry b e =
         fld false "type";
         Json.str b "engine";
         fld false "kind";
-        Json.str b kind
-      | Note { text; _ } ->
-        fld false "type";
-        Json.str b "note";
-        fld false "text";
-        Json.str b text)
+        Json.str b kind)
 
 let to_json t =
   let b = Buffer.create 16384 in

@@ -1,10 +1,10 @@
 (** Flight recorder: a bounded ring buffer of recent events.
 
     Keeps the last [capacity] (default 4096) fine-grained events —
-    engine dispatches, message sends/deliveries with provenance, span
-    openings, free-form notes — so a post-mortem bundle can ship "the
-    last N things that happened" before a violation, audit failure or
-    kill.  Recording is purely observational and deterministic; the
+    engine dispatches, message sends/deliveries with provenance, the
+    trace sink's entries ({!Bus}) — so a post-mortem bundle can ship
+    "the last N things that happened" before a violation, audit failure
+    or kill.  Recording is purely observational and deterministic; the
     {!null} recorder makes every hook a single branch. *)
 
 type entry =
@@ -18,7 +18,6 @@ type entry =
       send_us : int;  (** when the message was sent, virtual µs *)
     }
   | Engine_ev of { fl_ts : int; kind : string }
-  | Note of { fl_ts : int; text : string }
 
 type t
 
@@ -32,7 +31,6 @@ val enabled : t -> bool
 val capacity : t -> int
 
 val record : t -> entry -> unit
-val note : t -> ts:int -> string -> unit
 
 val total : t -> int
 (** Entries ever recorded (≥ the ring's current length). *)

@@ -462,11 +462,6 @@ type edge = {
   e_eid : int;
 }
 
-let edge_kind_name = function
-  | E_read -> "read"
-  | E_reexec -> "reexec"
-  | E_conflict -> "conflict"
-
 let edges recs =
   List.concat_map
     (fun r ->

@@ -120,8 +120,6 @@ type edge = {
   e_eid : int;  (** victim execution id ([0] outside Morty) *)
 }
 
-val edge_kind_name : edge_kind -> string
-
 val edges : record list -> edge list
 (** All cross-transaction edges, self-edges and v0 sources skipped,
     in deterministic order. *)

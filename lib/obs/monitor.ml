@@ -116,20 +116,6 @@ let null () = Domain.DLS.get null_key
 let create ?(max_records = 1 lsl 20) () = make ~enabled:true ~max_records
 let enabled t = t.enabled
 
-let invariants =
-  [
-    "watermark-monotone";
-    "truncation-safety";
-    "records-bounded";
-    "fastpath-votes";
-    "mvtso-read-order";
-    "store-version-monotone";
-    "lock-exclusion";
-    "ir-op-class";
-    "ro-snapshot-watermark";
-    "ro-staleness-bound";
-  ]
-
 let pp_ver ppf (ts, id) = Format.fprintf ppf "%d.%d" ts id
 let ver_str v = Format.asprintf "%a" pp_ver v
 

@@ -72,7 +72,7 @@ type transition =
           lawfully ages past the staleness bound while it runs *)
 
 type violation = {
-  vi_invariant : string;  (** a name from {!invariants} *)
+  vi_invariant : string;  (** an invariant name listed above *)
   vi_ts : int;  (** virtual µs *)
   vi_where : string;  (** replica label, or ["client"] *)
   vi_detail : string;  (** human-readable evidence *)
@@ -135,8 +135,5 @@ val views : t -> state_view list
 val first_incident_ts : t -> int option
 (** Earliest violation or incident timestamp — centres a bundle's
     trace slice. *)
-
-val invariants : string list
-(** All invariant names a monitor can report. *)
 
 val pp_violation : Format.formatter -> violation -> unit

@@ -126,7 +126,8 @@ let manifest_json ~reason ~detail ~label ~seed ~window files =
   Buffer.add_char b '\n';
   Buffer.contents b
 
-let make ~reason ~detail ~label ~seed ?window_us ~mon ~flight ~sink ~prof () =
+let make ~reason ~detail ~label ~seed ?window_us ~obs () =
+  let mon = Bus.monitor obs and sink = Bus.sink obs in
   let window =
     match window_us with
     | Some w -> Some w
@@ -139,9 +140,9 @@ let make ~reason ~detail ~label ~seed ?window_us ~mon ~flight ~sink ~prof () =
     [
       ("violations.json", violations_json mon);
       ("snapshots.json", views_json (Monitor.views mon));
-      ("flight.json", Flight.to_json flight);
+      ("flight.json", Flight.to_json (Bus.flight_ring obs));
       ("trace.json", Trace.to_json ?window sink);
-      ("profile.json", Profile.to_json prof);
+      ("profile.json", Profile.to_json (Bus.profile obs));
       ("metrics.csv", Metrics.to_csv sink);
     ]
   in

@@ -22,15 +22,14 @@ val make :
   label:string ->
   seed:int ->
   ?window_us:int * int ->
-  mon:Monitor.t ->
-  flight:Flight.t ->
-  sink:Sink.t ->
-  prof:Profile.t ->
+  obs:Bus.t ->
   unit ->
   t
 (** [reason] is one of ["monitor-violation"], ["audit-failure"],
-    ["replica-kill"].  When [window_us] is omitted the trace slice
-    centres on the monitor's first incident (full trace if none). *)
+    ["replica-kill"].  [obs] is the run's bus: its monitor, flight
+    recorder, sink and profiler fill the bundle.  When [window_us] is
+    omitted the trace slice centres on the monitor's first incident
+    (full trace if none). *)
 
 val files : t -> string list
 

@@ -236,30 +236,19 @@ let busy_by_kind t =
 
 (* --- heatmap ------------------------------------------------------------- *)
 
-let key_acc t key =
-  match Hashtbl.find_opt t.keys key with
-  | Some a -> a
-  | None ->
-    let a = { k_conflicts = 0; k_reexecs = 0; k_aborts = 0 } in
-    Hashtbl.add t.keys key a;
-    a
-
-let note_conflict t ~key =
+let note_key t ~key ~conflicts ~reexecs ~aborts =
   if t.enabled then begin
-    let a = key_acc t key in
-    a.k_conflicts <- a.k_conflicts + 1
-  end
-
-let note_reexec t ~key =
-  if t.enabled then begin
-    let a = key_acc t key in
-    a.k_reexecs <- a.k_reexecs + 1
-  end
-
-let note_abort_key t ~key =
-  if t.enabled then begin
-    let a = key_acc t key in
-    a.k_aborts <- a.k_aborts + 1
+    let a =
+      match Hashtbl.find_opt t.keys key with
+      | Some a -> a
+      | None ->
+        let a = { k_conflicts = 0; k_reexecs = 0; k_aborts = 0 } in
+        Hashtbl.add t.keys key a;
+        a
+    in
+    a.k_conflicts <- a.k_conflicts + conflicts;
+    a.k_reexecs <- a.k_reexecs + reexecs;
+    a.k_aborts <- a.k_aborts + aborts
   end
 
 let hot_keys t n =

@@ -7,9 +7,9 @@
     microsecond as committed-useful / re-executed-then-salvaged /
     aborted-and-discarded, and a per-key contention heatmap.
 
-    Fed by message provenance from [Simnet.Net]/[Simnet.Cpu] via hooks
-    in the protocol stacks.  All hooks are observational — they draw no
-    randomness and change no scheduling — and this module is
+    Fed by {!Bus} events and by message provenance from
+    [Simnet.Net]/[Simnet.Cpu].  All hooks are observational — they draw
+    no randomness and change no scheduling — and this module is
     protocol-agnostic: versions are [(ts, id)] int pairs, message kinds
     and keys are strings. *)
 
@@ -123,17 +123,12 @@ type key_acc = {
   mutable k_aborts : int;
 }
 
-val note_conflict : t -> key:string -> unit
-(** A replica observed contention on [key]: a validation check fired, a
-    lock request queued or a prepare suspended on a dependency. *)
-
-val note_reexec : t -> key:string -> unit
-(** A Morty client re-executed because its read of [key] was
-    corrected. *)
-
-val note_abort_key : t -> key:string -> unit
-(** A replica blamed [key] for an abort-causing decision (abandon vote,
-    prepare nack, wound). *)
+val note_key : t -> key:string -> conflicts:int -> reexecs:int -> aborts:int -> unit
+(** Add to [key]'s counters: contention a replica observed (a
+    validation check fired, a lock request queued, a prepare suspended
+    on a dependency), Morty re-executions from a corrected read of
+    [key], and abort-causing blames (abandon vote, prepare nack,
+    wound). *)
 
 val hot_keys : t -> int -> (string * key_acc) list
 (** Top-n keys by total counter, hottest first (ties by key). *)

@@ -1,7 +1,7 @@
-(* Single emission point for all observability data.  Everything is
-   keyed off virtual time and the run seed, never wall-clock time or
-   fresh randomness, so two runs with the same seed produce
-   byte-identical output. *)
+(* The trace sink: span events from [Bus] and metrics samples from the
+   harness ticker.  Everything is keyed off virtual time and the run
+   seed, never wall-clock time or fresh randomness, so two runs with the
+   same seed produce byte-identical output. *)
 
 type arg = I of int | S of string | F of float
 
@@ -14,7 +14,6 @@ type event = {
   ev_ts : int; (* virtual µs *)
   ev_dur : int; (* µs; 0 for instants *)
   ev_pid : int; (* node id of the emitting client/replica *)
-  ev_tid : int;
   ev_args : (string * arg) list;
 }
 
@@ -34,10 +33,6 @@ type t = {
   mutable events : event list; (* newest first *)
   mutable n_events : int;
   mutable samples : sample list; (* newest first *)
-  (* Read-only tap on recorded events (the flight recorder).  Observers
-     see exactly what the sink stores and cannot change it, so an
-     attached observer leaves the run's output byte-identical. *)
-  mutable observer : (event -> unit) option;
 }
 
 (* One disabled sink per domain: a top-level singleton would be mutable
@@ -46,44 +41,21 @@ type t = {
    the safety structural. *)
 let null_key =
   Domain.DLS.new_key (fun () ->
-      { enabled = false; seed = 0; events = []; n_events = 0; samples = [];
-        observer = None })
+      { enabled = false; seed = 0; events = []; n_events = 0; samples = [] })
 
 let null () = Domain.DLS.get null_key
 
 let create ~seed =
-  { enabled = true; seed; events = []; n_events = 0; samples = [];
-    observer = None }
+  { enabled = true; seed; events = []; n_events = 0; samples = [] }
 
 let enabled t = t.enabled
 let seed t = t.seed
 
-let set_observer t f = if t.enabled then t.observer <- Some f
-
-let push t e =
-  t.events <- e :: t.events;
-  t.n_events <- t.n_events + 1;
-  match t.observer with None -> () | Some f -> f e
-
-let span t ~name ~cat ~ts ~dur ~pid ?(tid = 0) ?(args = []) () =
-  if t.enabled then
-    push t
-      { ev_name = name; ev_cat = cat; ev_ph = Complete; ev_ts = ts;
-        ev_dur = (if dur < 0 then 0 else dur); ev_pid = pid; ev_tid = tid;
-        ev_args = args }
-
-let instant t ~name ~cat ~ts ~pid ?(tid = 0) ?(args = []) () =
-  if t.enabled then
-    push t
-      { ev_name = name; ev_cat = cat; ev_ph = Instant; ev_ts = ts; ev_dur = 0;
-        ev_pid = pid; ev_tid = tid; ev_args = args }
-
-let flow t ~name ~cat ~ts ~pid ~id ~start ?(tid = 0) () =
-  if t.enabled then
-    push t
-      { ev_name = name; ev_cat = cat;
-        ev_ph = (if start then Flow_start id else Flow_finish id);
-        ev_ts = ts; ev_dur = 0; ev_pid = pid; ev_tid = tid; ev_args = [] }
+let record t e =
+  if t.enabled then begin
+    t.events <- e :: t.events;
+    t.n_events <- t.n_events + 1
+  end
 
 let sample t s = if t.enabled then t.samples <- s :: t.samples
 

@@ -1,11 +1,10 @@
-(** The single sink all observability emission goes through.
+(** The trace sink: span events rendered by {!Bus} and the harness's
+    metrics samples.
 
-    A disabled sink ({!null}) turns every emitter into a cheap
-    [if false] so instrumented hot paths cost one branch when tracing is
-    off. An enabled sink accumulates events and samples in memory; all
-    timestamps are virtual-time microseconds and the only identity is
-    the run seed, so output is bit-deterministic across same-seed
-    runs. *)
+    A disabled sink ({!null}) records nothing.  An enabled sink
+    accumulates events and samples in memory; all timestamps are
+    virtual-time microseconds and the only identity is the run seed, so
+    output is bit-deterministic across same-seed runs. *)
 
 type arg = I of int | S of string | F of float
 
@@ -22,7 +21,6 @@ type event = {
   ev_ts : int;  (** virtual µs *)
   ev_dur : int;  (** µs, 0 for instants *)
   ev_pid : int;  (** emitting node id *)
-  ev_tid : int;
   ev_args : (string * arg) list;
 }
 
@@ -50,26 +48,11 @@ val create : seed:int -> t
 val enabled : t -> bool
 val seed : t -> int
 
-val span :
-  t -> name:string -> cat:string -> ts:int -> dur:int -> pid:int ->
-  ?tid:int -> ?args:(string * arg) list -> unit -> unit
-
-val instant :
-  t -> name:string -> cat:string -> ts:int -> pid:int ->
-  ?tid:int -> ?args:(string * arg) list -> unit -> unit
-
-val flow :
-  t -> name:string -> cat:string -> ts:int -> pid:int -> id:int ->
-  start:bool -> ?tid:int -> unit -> unit
-(** Emit one half of a flow arrow: [start:true] is the source
-    ([Flow_start]), [start:false] the destination ([Flow_finish]).
-    Both halves must share [id] and [name]/[cat]. *)
+val record : t -> event -> unit
+(** Append one event; a no-op on a disabled sink.  The two halves of a
+    flow arrow share an id and [name]/[cat]. *)
 
 val sample : t -> sample -> unit
-
-val set_observer : t -> (event -> unit) -> unit
-(** Read-only tap called for every recorded event (the flight recorder
-    uses it to see span openings).  No-op on the {!null} sink. *)
 
 val events : t -> event list
 (** In emission (chronological) order. *)

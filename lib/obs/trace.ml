@@ -37,8 +37,7 @@ let add_event buf (e : Sink.event) =
   Buffer.add_string buf (string_of_int e.ev_ts);
   Buffer.add_string buf ",\"pid\":";
   Buffer.add_string buf (string_of_int e.ev_pid);
-  Buffer.add_string buf ",\"tid\":";
-  Buffer.add_string buf (string_of_int e.ev_tid);
+  Buffer.add_string buf ",\"tid\":0";
   (match e.ev_args with
   | [] -> ()
   | args ->

@@ -82,10 +82,7 @@ type t = {
   txns : (Version.t, txn) Hashtbl.t;
   ro_txns : (int, txn) Hashtbl.t;
   stats : stats;
-  obs : Obs.Sink.t;
-  prof : Obs.Profile.t;
-  mon : Obs.Monitor.t;
-  lin : Obs.Lineage.t;
+  obs : Obs.Bus.t;
   (* Latency-decomposition state for the transaction this (closed-loop)
      client is currently driving; see Obs.Profile. *)
   mutable c_cur : txn option;
@@ -132,16 +129,22 @@ let profile_arrival t =
 
 (* --- Observability helpers --------------------------------------------- *)
 
-let ver_arg txn = ("ver", Obs.Sink.S (Fmt.str "%a" Version.pp txn.id))
-(* [Version.zero] marks pre-loaded initial data: writerless, so it maps
-   to the lineage layer's v0 rather than leaking the sentinel pair. *)
-let vpair (v : Version.t) =
-  if Version.equal v Version.zero then Obs.Lineage.v0
-  else (v.Version.ts, v.Version.id)
+let emit t ev = Obs.Bus.emit t.obs ~ts:(Engine.now t.engine) ~pid:t.node ev
 
-let mark t txn name args =
-  Obs.Sink.instant t.obs ~name ~cat:"txn" ~ts:(Engine.now t.engine) ~pid:t.node
-    ~args:(ver_arg txn :: args) ()
+(* Observers key a transaction by its begin version — the id replicas
+   see on lock/prepare traffic — not its commit version.  [span:false]
+   is a user abort, which records no [txn] span. *)
+let emit_finish t txn ~abort ~span =
+  if Obs.Bus.on t.obs then
+    emit t
+      (Obs.Bus.Finish
+         { ver = Version.to_pair txn.id; start_us = txn.t_start_us; abort;
+           reexecs = None; work_us = txn.exec_us + txn.prep_us + txn.fin_us;
+           final_eid = 0; span })
+
+let emit_begin t txn ~ro =
+  if Obs.Bus.on t.obs then
+    emit t (Obs.Bus.Begin { ver = Version.to_pair txn.id; ro })
 
 (* Close the open phase segment, credit its duration, emit its span, and
    open [next]. *)
@@ -160,9 +163,11 @@ let switch_segment t txn next =
       txn.fin_us <- txn.fin_us + dur;
       "finalize"
   in
-  if Obs.Sink.enabled t.obs then
-    Obs.Sink.span t.obs ~name ~cat:"phase" ~ts:txn.ph_start_us ~dur ~pid:t.node
-      ~args:[ ver_arg txn ] ();
+  if Obs.Bus.on t.obs then
+    emit t
+      (Obs.Bus.Phase
+         { ver = Version.to_pair txn.id; name; start_us = txn.ph_start_us;
+           eid = None });
   txn.ph_start_us <- now;
   txn.seg <- next
 
@@ -181,40 +186,13 @@ let finish t txn ~ver outcome =
       profile_wait t None;
       t.c_cur <- None
     | Some _ | None -> ());
-    (* The ledger is keyed by the begin version — the id replicas see on
-       lock/prepare traffic — not the commit version. *)
-    Obs.Profile.note_outcome t.prof
-      ~ver:(txn.id.Version.ts, txn.id.Version.id)
-      ~committed:(Outcome.is_committed outcome) ~final_eid:0;
     switch_segment t txn txn.seg;
-    (* Lineage is keyed by the begin version like the profile ledger, so
-       replica-side conflict records join up with the finish. *)
-    Obs.Lineage.note_finish t.lin ~ver:(vpair txn.id)
-      ~committed:(Outcome.is_committed outcome)
-      ~reason:
-        (match Outcome.reason outcome with
-        | Some r -> Obs.Abort_reason.to_string r
-        | None -> "")
-      ~work_us:(txn.exec_us + txn.prep_us + txn.fin_us)
-      ~ts:(Engine.now t.engine);
     Hashtbl.remove t.txns txn.id;
     if txn.ro then Hashtbl.remove t.ro_txns txn.ro_id;
     (match outcome with
      | Outcome.Committed -> t.stats.committed <- t.stats.committed + 1
      | Outcome.Aborted _ -> t.stats.aborted <- t.stats.aborted + 1);
-    if Obs.Sink.enabled t.obs then begin
-      (match outcome with
-      | Outcome.Committed -> mark t txn "commit" []
-      | Outcome.Aborted r ->
-        mark t txn "abort"
-          [ ("reason", Obs.Sink.S (Obs.Abort_reason.to_string r)) ]);
-      Obs.Sink.span t.obs ~name:"txn" ~cat:"txn" ~ts:txn.t_start_us
-        ~dur:(Engine.now t.engine - txn.t_start_us)
-        ~pid:t.node
-        ~args:
-          [ ver_arg txn; ("outcome", Obs.Sink.S (Fmt.str "%a" Outcome.pp outcome)) ]
-        ()
-    end;
+    emit_finish t txn ~abort:(Outcome.reason outcome) ~span:true;
     (match t.on_finish with
      | Some f ->
        f
@@ -265,14 +243,11 @@ let deliver_read t txn (p : pend) key w_ver value seq =
   txn.pending <- List.remove_assoc seq txn.pending;
   txn.reads <- (key, w_ver) :: txn.reads;
   txn.read_vals <- (key, value) :: txn.read_vals;
-  Obs.Lineage.note_read t.lin ~ver:(vpair txn.id) ~key ~from:(vpair w_ver)
-    ~eid:0 ~ts:(Engine.now t.engine);
-  if Obs.Sink.enabled t.obs then
-    Obs.Sink.span t.obs ~name:"read" ~cat:"op" ~ts:p.pd_sent
-      ~dur:(Engine.now t.engine - p.pd_sent)
-      ~pid:t.node
-      ~args:[ ver_arg txn; ("key", Obs.Sink.S key) ]
-      ();
+  if Obs.Bus.on t.obs then
+    emit t
+      (Obs.Bus.Read
+         { ver = Version.to_pair txn.id; key; from = Version.to_pair w_ver;
+           eid = 0; sent_us = p.pd_sent });
   p.pd_cont { c_txn = txn } value
 
 let handle_lock_reply t txn_id key value w_ver seq =
@@ -434,8 +409,7 @@ let handle t ~src:_ msg =
 (* --- Public API ------------------------------------------------------------ *)
 
 let create ~cfg ~engine ~net ~rng ~region ~leaders ~partition
-    ?groups ?(obs = Obs.Sink.null ()) ?(prof = Obs.Profile.null ())
-    ?(mon = Obs.Monitor.null ()) ?(lineage = Obs.Lineage.null ()) ?on_finish () =
+    ?groups ?(obs = Obs.Bus.null ()) ?on_finish () =
   let node = Net.add_node net ~region in
   let groups =
     match groups with
@@ -469,9 +443,6 @@ let create ~cfg ~engine ~net ~rng ~region ~leaders ~partition
       ro_txns = Hashtbl.create 16;
       stats = { begun = 0; committed = 0; aborted = 0; ro_begun = 0; wounds_received = 0 };
       obs;
-      prof;
-      mon;
-      lin = lineage;
       c_cur = None;
       c_comps = Array.make Obs.Profile.n_cells 0;
       c_last_ev = 0;
@@ -480,7 +451,7 @@ let create ~cfg ~engine ~net ~rng ~region ~leaders ~partition
   in
   (* Provenance feeds only the profiler: skip it when none is attached. *)
   Net.set_handler net node (fun ~src msg ->
-      if Obs.Profile.enabled t.prof then profile_arrival t;
+      if Obs.Bus.profiling t.obs then profile_arrival t;
       handle t ~src msg);
   t
 
@@ -528,8 +499,7 @@ let begin_ t body =
   Hashtbl.replace t.txns txn.id txn;
   t.stats.begun <- t.stats.begun + 1;
   track t txn;
-  if Obs.Sink.enabled t.obs then mark t txn "begin" [];
-  Obs.Lineage.note_begin t.lin ~ver:(vpair txn.id) ~ts:txn.t_start_us;
+  emit_begin t txn ~ro:false;
   body { c_txn = txn }
 
 let begin_ro t body =
@@ -552,22 +522,22 @@ let begin_ro t body =
   | Some fr ->
     let stale = max 0 (Sim.Clock.read t.clock - txn.ro_ts) in
     fr.fr_stale_us <- stale;
-    if Obs.Monitor.enabled t.mon then
-      Obs.Monitor.observe t.mon ~ts:(Engine.now t.engine)
-        (Obs.Monitor.Ro_pin
-           {
-             replica = Printf.sprintf "c%d" t.node;
-             snap = (txn.ro_ts, 0);
-             wm = (0, min_int);
-             staleness_us = stale;
-             bound_us = t.cfg.max_staleness_us;
-           }));
+    if Obs.Bus.monitoring t.obs then
+      emit t
+        (Obs.Bus.State
+           (Obs.Monitor.Ro_pin
+              {
+                replica = Printf.sprintf "c%d" t.node;
+                snap = (txn.ro_ts, 0);
+                wm = (0, min_int);
+                staleness_us = stale;
+                bound_us = t.cfg.max_staleness_us;
+              })));
   Hashtbl.replace t.ro_txns txn.ro_id txn;
   t.stats.begun <- t.stats.begun + 1;
   t.stats.ro_begun <- t.stats.ro_begun + 1;
   track t txn;
-  if Obs.Sink.enabled t.obs then mark t txn "begin" [ ("ro", Obs.Sink.I 1) ];
-  Obs.Lineage.note_begin t.lin ~ver:(vpair txn.id) ~ts:txn.t_start_us;
+  emit_begin t txn ~ro:true;
   body { c_txn = txn }
 
 let do_get t ctx key cont ~mode =
@@ -620,22 +590,10 @@ let abort t ctx =
       profile_wait t None;
       t.c_cur <- None
     | Some _ | None -> ());
-    Obs.Profile.note_outcome t.prof
-      ~ver:(txn.id.Version.ts, txn.id.Version.id)
-      ~committed:false ~final_eid:0;
-    Obs.Lineage.note_finish t.lin ~ver:(vpair txn.id) ~committed:false
-      ~reason:(Obs.Abort_reason.to_string Obs.Abort_reason.User_abort)
-      ~work_us:(txn.exec_us + txn.prep_us + txn.fin_us)
-      ~ts:(Engine.now t.engine);
     Hashtbl.remove t.txns txn.id;
     if txn.ro then Hashtbl.remove t.ro_txns txn.ro_id;
     t.stats.aborted <- t.stats.aborted + 1;
-    if Obs.Sink.enabled t.obs then
-      mark t txn "abort"
-        [
-          ("reason",
-           Obs.Sink.S (Obs.Abort_reason.to_string Obs.Abort_reason.User_abort));
-        ];
+    emit_finish t txn ~abort:(Some Obs.Abort_reason.User_abort) ~span:false;
     (* Release any locks acquired during execution. *)
     if not txn.ro then
       List.iter

@@ -33,22 +33,17 @@ val create :
   leaders:int array ->
   partition:(string -> int) ->
   ?groups:int array array ->
-  ?obs:Obs.Sink.t ->
-  ?prof:Obs.Profile.t ->
-  ?mon:Obs.Monitor.t ->
-  ?lineage:Obs.Lineage.t ->
+  ?obs:Obs.Bus.t ->
   ?on_finish:(record -> unit) ->
   unit ->
   t
 (** [leaders.(g)] is the node id of group [g]'s leader.  [groups.(g)]
     (default: just the leaders) lists group [g]'s full membership,
     leader first — required for follower reads, whose snapshot requests
-    rotate across the whole group.  [prof] receives latency
-    decomposition and outcome hooks (default {!Obs.Profile.null});
-    [mon] (default {!Obs.Monitor.null}) checks snapshot pins against
-    the staleness bound; [lineage] (default {!Obs.Lineage.null})
-    records per-transaction reads and typed finishes, keyed by the
-    begin version so replica-side wound records join up. *)
+    rotate across the whole group.  [obs] (default {!Obs.Bus.null})
+    receives every begin, read, phase and finish, keyed by the begin
+    version so replica-side wound blames join up, and snapshot pins
+    for the monitors. *)
 
 val node : t -> Simnet.Net.node
 

@@ -28,9 +28,7 @@ type t = {
   index : int;
   node : Net.node;
   cpu : Cpu.t;
-  prof : Obs.Profile.t;
-  mon : Obs.Monitor.t;
-  lin : Obs.Lineage.t;
+  obs : Obs.Bus.t;
   mutable peers : int array;
   locks : Lock_table.t;
   store : (string, string Version.Map.t ref) Hashtbl.t;
@@ -74,33 +72,43 @@ let is_stopped t = t.stopped
 let set_peers t peers = t.peers <- peers
 let waiting_locks t = Lock_table.waiting t.locks
 
-(* --- Invariant-monitor plumbing ---------------------------------------- *)
+(* --- Observation ---------------------------------------------------------- *)
 
-(* [Version.zero] marks pre-loaded initial data: writerless, so it maps
-   to the lineage layer's v0 rather than leaking the sentinel pair. *)
-let vpair (v : Version.t) =
-  if Version.equal v Version.zero then Obs.Lineage.v0
-  else (v.Version.ts, v.Version.id)
 let mon_label t = Printf.sprintf "g%dr%d" t.group t.index
+let emit t ev = Obs.Bus.emit t.obs ~ts:(Engine.now t.engine) ~pid:t.node ev
+let observe t tr = emit t (Obs.Bus.State tr)
 
-let observe t tr = Obs.Monitor.observe t.mon ~ts:(Engine.now t.engine) tr
+let observe_install t key ver =
+  if Obs.Bus.monitoring t.obs then
+    observe t
+      (Obs.Monitor.Commit_install
+         { replica = mon_label t; key; ver = Version.to_pair ver })
+
+(* A lock request for [txn] on [key] queued behind a holder. *)
+let note_lock_wait t txn key =
+  t.stats.lock_waits <- t.stats.lock_waits + 1;
+  if Obs.Bus.on t.obs then
+    emit t
+      (Obs.Bus.Blame
+         { ver = Version.to_pair txn; key; conflict = true; abort_key = false;
+           lineage = None })
 
 (* Report a lock grant together with the key's resulting holder sets, so
    the monitor can check mutual exclusion independently of the table's
    own bookkeeping. *)
 let observe_grant t ~txn ~key ~(mode : Lock_table.mode) =
-  if Obs.Monitor.enabled t.mon then begin
+  if Obs.Bus.monitoring t.obs then begin
     let writer, readers = Lock_table.holders t.locks ~key in
     observe t
       (Obs.Monitor.Lock_grant
          {
            replica = mon_label t;
            key;
-           txn = vpair txn;
+           txn = Version.to_pair txn;
            mode = (match mode with Lock_table.Read -> Obs.Monitor.Read
                                  | Lock_table.Write -> Obs.Monitor.Write);
-           writer = Option.map vpair writer;
-           readers = List.map vpair readers;
+           writer = Option.map Version.to_pair writer;
+           readers = List.map Version.to_pair readers;
          })
   end
 
@@ -252,14 +260,17 @@ and is_immune t v = Hashtbl.mem t.prepared v
 
 and acquire_lock t ~txn ~key ~mode =
   let status, wounded = Lock_table.acquire t.locks ~txn ~key ~mode ~is_immune:(is_immune t) in
-  if wounded <> [] then Obs.Profile.note_abort_key t.prof ~key;
-  List.iter
-    (fun v ->
-      (* The acquiring transaction is the aggressor: its higher priority
-         wounds the victim's lock hold on [key]. *)
-      Obs.Lineage.note_conflict t.lin ~ver:(vpair v) ~key
-        ~aggressor:(vpair txn) ~reason:"wound" ~ts:(Engine.now t.engine))
-    wounded;
+  (* The acquiring transaction is the aggressor: its higher priority
+     wounds each victim's lock hold on [key], one abort blame on [key]
+     in all. *)
+  if Obs.Bus.on t.obs then
+    List.iteri
+      (fun i v ->
+        emit t
+          (Obs.Bus.Blame
+             { ver = Version.to_pair v; key; conflict = false; abort_key = (i = 0);
+               lineage = Some (Version.to_pair txn, "wound") }))
+      wounded;
   List.iter (fun v -> wound t v) wounded;
   (match status with
    | `Granted -> observe_grant t ~txn ~key ~mode
@@ -274,7 +285,7 @@ and finish_prepare t txn (pp : pending_prep) =
       if (not (Hashtbl.mem t.wounded txn)) && not (Hashtbl.mem t.finished txn)
       then begin
         Hashtbl.replace t.prepared txn { pr_ts = ts; pr_writes = pp.pp_writes };
-        if Obs.Monitor.enabled t.mon then
+        if Obs.Bus.monitoring t.obs then
           observe t
             (Obs.Monitor.Record_count
                { replica = mon_label t; count = Hashtbl.length t.prepared });
@@ -298,9 +309,7 @@ let handle_lock t ~src txn key seq mode =
     Hashtbl.replace t.pending_locks (txn, key) (seq, src);
     match acquire_lock t ~txn ~key ~mode with
     | `Granted -> answer_lock t txn key
-    | `Queued ->
-      t.stats.lock_waits <- t.stats.lock_waits + 1;
-      Obs.Profile.note_conflict t.prof ~key
+    | `Queued -> note_lock_wait t txn key
   end
 
 let handle_prepare2pc t ~src txn writes =
@@ -318,8 +327,7 @@ let handle_prepare2pc t ~src txn writes =
         match acquire_lock t ~txn ~key ~mode:Lock_table.Write with
         | `Granted -> ()
         | `Queued ->
-          t.stats.lock_waits <- t.stats.lock_waits + 1;
-          Obs.Profile.note_conflict t.prof ~key;
+          note_lock_wait t txn key;
           incr queued)
       writes;
     (* Wounding inside acquire_lock may have wounded [txn] itself?  No:
@@ -359,10 +367,7 @@ let handle_commit2pc t txn commit_ver =
           (fun (key, value) ->
             let m = versions t key in
             m := Version.Map.add commit_ver value !m;
-            if Obs.Monitor.enabled t.mon then
-              observe t
-                (Obs.Monitor.Commit_install
-                   { replica = mon_label t; key; ver = vpair commit_ver }))
+            observe_install t key commit_ver)
           p.pr_writes;
         t.max_commit_ts <- max t.max_commit_ts commit_ver.Version.ts;
         t.apply_seq <- t.apply_seq + 1;
@@ -395,7 +400,7 @@ let handle_ro_read t ~src ro_id key ts seq =
       ignore (Engine.schedule t.engine ~after:1_000 (fun () -> check_ro_queue t))
     end
   else if ts <= t.follower_safe_ts then begin
-    if Obs.Monitor.enabled t.mon then
+    if Obs.Bus.monitoring t.obs then
       observe t
         (Obs.Monitor.Ro_serve
            { replica = mon_label t; key; snap = (ts, 0); wm = (0, min_int) });
@@ -410,10 +415,7 @@ let apply_writes t writes commit_ver =
     (fun (key, value) ->
       let m = versions t key in
       m := Version.Map.add commit_ver value !m;
-      if Obs.Monitor.enabled t.mon then
-        observe t
-          (Obs.Monitor.Commit_install
-             { replica = mon_label t; key; ver = vpair commit_ver }))
+      observe_install t key commit_ver)
     writes
 
 (* Install every buffered apply that extends the gap-free prefix; the
@@ -516,10 +518,7 @@ let install t sn =
         (fun (v, value) ->
           m := Version.Map.add v value !m;
           t.max_commit_ts <- max t.max_commit_ts v.Version.ts;
-          if Obs.Monitor.enabled t.mon then
-            observe t
-              (Obs.Monitor.Commit_install
-                 { replica = mon_label t; key; ver = vpair v }))
+          observe_install t key v)
         vs)
     sn;
   t.last_prepare_ts <- max t.last_prepare_ts t.max_commit_ts
@@ -538,17 +537,14 @@ let busy_owner = function
   | Msg.Paxos_ack _ | Msg.Apply _ | Msg.Apply_hb _ | Msg.Apply_since _ -> None
 
 let create_at ~node ~cfg ~engine ~net ~group ~index ~cores
-    ?(prof = Obs.Profile.null ()) ?(mon = Obs.Monitor.null ())
-    ?(lineage = Obs.Lineage.null ()) () =
+    ?(obs = Obs.Bus.null ()) () =
   let t =
     {
       cfg; engine; net;
       clock = Sim.Clock.perfect engine;
       group; index; node;
       cpu = Cpu.create engine ~cores;
-      prof;
-      mon;
-      lin = lineage;
+      obs;
       peers = [||];
       locks = Lock_table.create ();
       store = Hashtbl.create 1024;
@@ -594,7 +590,7 @@ let create_at ~node ~cfg ~engine ~net ~group ~index ~cores
   end;
   Net.set_handler net node (fun ~src msg ->
       let cost = service_cost t msg in
-      if not (Obs.Profile.enabled t.prof) then
+      if not (Obs.Bus.profiling t.obs) then
         Cpu.submit t.cpu ~cost (fun () -> handle t ~src msg)
       else begin
         let transit_us =
@@ -604,8 +600,10 @@ let create_at ~node ~cfg ~engine ~net ~group ~index ~cores
         in
         Cpu.submit t.cpu ~cost
           ~prov:(fun ~queue_us ~start_us:_ ~end_us:_ ->
-            Obs.Profile.note_busy t.prof ~kind:(Msg.label msg)
-              ~ver:(busy_owner msg) ~eid:0 ~cost_us:cost;
+            emit t
+              (Obs.Bus.Busy
+                 { kind = Msg.label msg; ver = busy_owner msg; eid = 0;
+                   cost_us = cost });
             Net.set_send_path net ~transit_us ~queue_us ~service_us:cost)
           (fun () ->
             handle t ~src msg;
@@ -613,9 +611,9 @@ let create_at ~node ~cfg ~engine ~net ~group ~index ~cores
       end);
   t
 
-let create ~cfg ~engine ~net ~group ~index ~region ~cores ?prof ?mon ?lineage () =
+let create ~cfg ~engine ~net ~group ~index ~region ~cores ?obs () =
   create_at ~node:(Net.add_node net ~region) ~cfg ~engine ~net ~group ~index
-    ~cores ?prof ?mon ?lineage ()
+    ~cores ?obs ()
 
 (* Per-replica introspection: protocol-agnostic snapshot for monitors
    and post-mortem bundles. *)

@@ -32,19 +32,15 @@ val create :
   index:int ->
   region:Simnet.Latency.region ->
   cores:int ->
-  ?prof:Obs.Profile.t ->
-  ?mon:Obs.Monitor.t ->
-  ?lineage:Obs.Lineage.t ->
+  ?obs:Obs.Bus.t ->
   unit ->
   t
-(** [prof] (default {!Obs.Profile.null}) receives busy-time and
-    contention hooks; when set, replies also carry message provenance
-    ({!Simnet.Net.set_send_path}) for the client-side decomposition.
-    [mon] (default {!Obs.Monitor.null}) receives state-transition hooks
-    (lock grants with holder evidence, prepared-table size, commit
-    installs); purely observational.  [lineage] (default
-    {!Obs.Lineage.null}) receives wound records: victim, key and the
-    wounding (aggressor) transaction. *)
+(** [obs] (default {!Obs.Bus.null}) receives CPU busy time, lock
+    contention and wound blames (victim, key, wounding transaction) and
+    state transitions (lock grants with holder evidence, prepared-table
+    size, commit installs); purely observational.  When it profiles,
+    replies also carry message provenance ({!Simnet.Net.set_send_path})
+    for the client-side decomposition. *)
 
 val create_at :
   node:Simnet.Net.node ->
@@ -54,9 +50,7 @@ val create_at :
   group:int ->
   index:int ->
   cores:int ->
-  ?prof:Obs.Profile.t ->
-  ?mon:Obs.Monitor.t ->
-  ?lineage:Obs.Lineage.t ->
+  ?obs:Obs.Bus.t ->
   unit ->
   t
 (** Like {!create}, but re-registers a fresh (amnesiac) incarnation on a

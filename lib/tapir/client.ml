@@ -81,10 +81,7 @@ type t = {
   mutable last_ts : int;
   txns : (Version.t, txn) Hashtbl.t;
   stats : stats;
-  obs : Obs.Sink.t;
-  prof : Obs.Profile.t;
-  mon : Obs.Monitor.t;
-  lin : Obs.Lineage.t;
+  obs : Obs.Bus.t;
   (* Latency-decomposition state for the transaction this (closed-loop)
      client is currently driving; see Obs.Profile. *)
   mutable c_cur : txn option;
@@ -129,16 +126,16 @@ let profile_arrival t =
 
 (* --- Observability helpers --------------------------------------------- *)
 
-let ver_arg txn = ("ver", Obs.Sink.S (Fmt.str "%a" Version.pp txn.id))
-(* [Version.zero] marks pre-loaded initial data: writerless, so it maps
-   to the lineage layer's v0 rather than leaking the sentinel pair. *)
-let vpair (v : Version.t) =
-  if Version.equal v Version.zero then Obs.Lineage.v0
-  else (v.Version.ts, v.Version.id)
+let emit t ev = Obs.Bus.emit t.obs ~ts:(Engine.now t.engine) ~pid:t.node ev
 
-let mark t txn name args =
-  Obs.Sink.instant t.obs ~name ~cat:"txn" ~ts:(Engine.now t.engine) ~pid:t.node
-    ~args:(ver_arg txn :: args) ()
+(* [span:false] is a user abort, which records no [txn] span. *)
+let emit_finish t txn ~abort ~span =
+  if Obs.Bus.on t.obs then
+    emit t
+      (Obs.Bus.Finish
+         { ver = Version.to_pair txn.id; start_us = txn.t_start_us; abort;
+           reexecs = None; work_us = txn.exec_us + txn.prep_us + txn.fin_us;
+           final_eid = 0; span })
 
 (* Close the open phase segment, credit its duration, emit its span, and
    open [next]. *)
@@ -157,9 +154,11 @@ let switch_segment t txn next =
       txn.fin_us <- txn.fin_us + dur;
       "finalize"
   in
-  if Obs.Sink.enabled t.obs then
-    Obs.Sink.span t.obs ~name ~cat:"phase" ~ts:txn.ph_start_us ~dur ~pid:t.node
-      ~args:[ ver_arg txn ] ();
+  if Obs.Bus.on t.obs then
+    emit t
+      (Obs.Bus.Phase
+         { ver = Version.to_pair txn.id; name; start_us = txn.ph_start_us;
+           eid = None });
   txn.ph_start_us <- now;
   txn.seg <- next
 
@@ -177,36 +176,13 @@ let finish t txn outcome =
       profile_wait t None;
       t.c_cur <- None
     | Some _ | None -> ());
-    Obs.Profile.note_outcome t.prof
-      ~ver:(txn.id.Version.ts, txn.id.Version.id)
-      ~committed:(Outcome.is_committed outcome) ~final_eid:0;
     switch_segment t txn txn.seg;
-    Obs.Lineage.note_finish t.lin ~ver:(vpair txn.id)
-      ~committed:(Outcome.is_committed outcome)
-      ~reason:
-        (match Outcome.reason outcome with
-        | Some r -> Obs.Abort_reason.to_string r
-        | None -> "")
-      ~work_us:(txn.exec_us + txn.prep_us + txn.fin_us)
-      ~ts:(Engine.now t.engine);
     txn.phase <- Done;
     Hashtbl.remove t.txns txn.id;
     (match outcome with
      | Outcome.Committed -> t.stats.committed <- t.stats.committed + 1
      | Outcome.Aborted _ -> t.stats.aborted <- t.stats.aborted + 1);
-    if Obs.Sink.enabled t.obs then begin
-      (match outcome with
-      | Outcome.Committed -> mark t txn "commit" []
-      | Outcome.Aborted r ->
-        mark t txn "abort"
-          [ ("reason", Obs.Sink.S (Obs.Abort_reason.to_string r)) ]);
-      Obs.Sink.span t.obs ~name:"txn" ~cat:"txn" ~ts:txn.t_start_us
-        ~dur:(Engine.now t.engine - txn.t_start_us)
-        ~pid:t.node
-        ~args:
-          [ ver_arg txn; ("outcome", Obs.Sink.S (Fmt.str "%a" Outcome.pp outcome)) ]
-        ()
-    end;
+    emit_finish t txn ~abort:(Outcome.reason outcome) ~span:true;
     (match t.on_finish with
      | Some f ->
        f
@@ -297,14 +273,11 @@ let deliver_read t txn (p : pend) key w_ver value seq =
   txn.pending <- List.remove_assoc seq txn.pending;
   txn.reads <- (key, w_ver) :: txn.reads;
   txn.read_vals <- (key, value) :: txn.read_vals;
-  Obs.Lineage.note_read t.lin ~ver:(vpair txn.id) ~key ~from:(vpair w_ver)
-    ~eid:0 ~ts:(Engine.now t.engine);
-  if Obs.Sink.enabled t.obs then
-    Obs.Sink.span t.obs ~name:"read" ~cat:"op" ~ts:p.pd_sent
-      ~dur:(Engine.now t.engine - p.pd_sent)
-      ~pid:t.node
-      ~args:[ ver_arg txn; ("key", Obs.Sink.S key) ]
-      ();
+  if Obs.Bus.on t.obs then
+    emit t
+      (Obs.Bus.Read
+         { ver = Version.to_pair txn.id; key; from = Version.to_pair w_ver;
+           eid = 0; sent_us = p.pd_sent });
   p.pd_cont { c_txn = txn } value
 
 let handle_read_reply t txn_id key w_ver value seq =
@@ -394,16 +367,17 @@ let handle_ro_reply t txn_id key w_ver value seq snap =
             else begin
               ro.ro_snap <- snap;
               ro.ro_stale_us <- stale;
-              if Obs.Monitor.enabled t.mon then
-                Obs.Monitor.observe t.mon ~ts:(Engine.now t.engine)
-                  (Obs.Monitor.Ro_pin
-                     {
-                       replica = ro_replica_label t ro (t.partition key);
-                       snap = (snap, 0);
-                       wm = (0, min_int);
-                       staleness_us = stale;
-                       bound_us = t.cfg.max_staleness_us;
-                     });
+              if Obs.Bus.monitoring t.obs then
+                emit t
+                  (Obs.Bus.State
+                     (Obs.Monitor.Ro_pin
+                        {
+                          replica = ro_replica_label t ro (t.partition key);
+                          snap = (snap, 0);
+                          wm = (0, min_int);
+                          staleness_us = stale;
+                          bound_us = t.cfg.max_staleness_us;
+                        }));
               deliver_read t txn p key w_ver value seq
             end
           end
@@ -472,8 +446,7 @@ let handle t ~src msg =
   | Msg.Wm_mark _ | Msg.Wm_ack _ | Msg.Wm_install _ | Msg.Ro_read _ -> ()
 
 let create ~cfg ~engine ~net ~rng ~region ~groups ~partition
-    ?(obs = Obs.Sink.null ()) ?(prof = Obs.Profile.null ())
-    ?(mon = Obs.Monitor.null ()) ?(lineage = Obs.Lineage.null ()) ?on_finish () =
+    ?(obs = Obs.Bus.null ()) ?on_finish () =
   let node = Net.add_node net ~region in
   let closest_ix =
     Array.map
@@ -499,9 +472,6 @@ let create ~cfg ~engine ~net ~rng ~region ~groups ~partition
       txns = Hashtbl.create 16;
       stats = { begun = 0; committed = 0; aborted = 0; fast_commits = 0; slow_commits = 0 };
       obs;
-      prof;
-      mon;
-      lin = lineage;
       c_cur = None;
       c_comps = Array.make Obs.Profile.n_cells 0;
       c_last_ev = 0;
@@ -510,7 +480,7 @@ let create ~cfg ~engine ~net ~rng ~region ~groups ~partition
   in
   (* Provenance feeds only the profiler: skip it when none is attached. *)
   Net.set_handler net node (fun ~src msg ->
-      if Obs.Profile.enabled t.prof then profile_arrival t;
+      if Obs.Bus.profiling t.obs then profile_arrival t;
       handle t ~src msg);
   t
 
@@ -533,8 +503,8 @@ let begin_with t ~ro body =
   t.c_cur <- Some txn;
   t.c_comps <- Array.make Obs.Profile.n_cells 0;
   t.c_last_ev <- now;
-  if Obs.Sink.enabled t.obs then mark t txn "begin" [];
-  Obs.Lineage.note_begin t.lin ~ver:(vpair id) ~ts:now;
+  if Obs.Bus.on t.obs then
+    emit t (Obs.Bus.Begin { ver = Version.to_pair id; ro = false });
   body { c_txn = txn }
 
 let begin_ t body = begin_with t ~ro:None body
@@ -605,21 +575,9 @@ let abort t ctx =
       profile_wait t None;
       t.c_cur <- None
     | Some _ | None -> ());
-    Obs.Profile.note_outcome t.prof
-      ~ver:(txn.id.Version.ts, txn.id.Version.id)
-      ~committed:false ~final_eid:0;
-    Obs.Lineage.note_finish t.lin ~ver:(vpair txn.id) ~committed:false
-      ~reason:(Obs.Abort_reason.to_string Obs.Abort_reason.User_abort)
-      ~work_us:(txn.exec_us + txn.prep_us + txn.fin_us)
-      ~ts:(Engine.now t.engine);
     Hashtbl.remove t.txns txn.id;
     t.stats.aborted <- t.stats.aborted + 1;
-    if Obs.Sink.enabled t.obs then
-      mark t txn "abort"
-        [
-          ("reason",
-           Obs.Sink.S (Obs.Abort_reason.to_string Obs.Abort_reason.User_abort));
-        ];
+    emit_finish t txn ~abort:(Some Obs.Abort_reason.User_abort) ~span:false;
     (* Nothing is prepared yet, but replicas may hold read registrations;
        an Abort message is harmless and frees any prepared state from a
        duplicate path.  Follower reads leave no replica state at all. *)

@@ -30,20 +30,14 @@ val create :
   region:Simnet.Latency.region ->
   groups:int array array ->
   partition:(string -> int) ->
-  ?obs:Obs.Sink.t ->
-  ?prof:Obs.Profile.t ->
-  ?mon:Obs.Monitor.t ->
-  ?lineage:Obs.Lineage.t ->
+  ?obs:Obs.Bus.t ->
   ?on_finish:(record -> unit) ->
   unit ->
   t
 (** [groups.(g)] lists the replica node ids of group [g]; [partition]
-    maps a key to its group index.  [prof] receives latency
-    decomposition and outcome hooks (default {!Obs.Profile.null});
-    [mon] (default {!Obs.Monitor.null}) checks follower-read snapshot
-    pins against the staleness bound; [lineage] (default
-    {!Obs.Lineage.null}) records per-transaction reads and typed
-    finishes (TAPIR never re-executes, so no re-execution events). *)
+    maps a key to its group index.  [obs] (default {!Obs.Bus.null})
+    receives every begin, read, phase and finish (TAPIR never
+    re-executes), and follower-read snapshot pins for the monitors. *)
 
 val node : t -> Simnet.Net.node
 

@@ -29,9 +29,7 @@ type t = {
   index : int;
   node : Net.node;
   cpu : Cpu.t;
-  prof : Obs.Profile.t;
-  mon : Obs.Monitor.t;
-  lin : Obs.Lineage.t;
+  obs : Obs.Bus.t;
   (* Committed versions per key, newest accessible via find_last. *)
   store : (string, string Version.Map.t ref) Hashtbl.t;
   prepared : (Version.t, prepared) Hashtbl.t;
@@ -55,18 +53,20 @@ let node t = t.node
 let cpu t = t.cpu
 let applied_wm t = t.applied_wm
 
-(* [Version.zero] marks pre-loaded initial data: writerless, so it maps
-   to the lineage layer's v0 rather than leaking the sentinel pair. *)
-let vpair (v : Version.t) =
-  if Version.equal v Version.zero then Obs.Lineage.v0
-  else (v.Version.ts, v.Version.id)
 let mon_label t = Printf.sprintf "g%dr%d" t.group t.index
-let observe t tr = Obs.Monitor.observe t.mon ~ts:(Sim.Engine.now t.engine) tr
+let emit t ev = Obs.Bus.emit t.obs ~ts:(Sim.Engine.now t.engine) ~pid:t.node ev
+let observe t tr = emit t (Obs.Bus.State tr)
+
+let observe_install t key ver =
+  if Obs.Bus.monitoring t.obs then
+    observe t
+      (Obs.Monitor.Commit_install
+         { replica = mon_label t; key; ver = Version.to_pair ver })
 
 (* Witness IR operation classes: Prepare/Finalize run as consensus
    operations, Commit/Abort as inconsistent ones. *)
 let observe_ir_op t op consensus =
-  if Obs.Monitor.enabled t.mon then
+  if Obs.Bus.monitoring t.obs then
     observe t (Obs.Monitor.Ir_op { replica = mon_label t; op; consensus })
 let stats t = t.stats
 let prepared_count t = Hashtbl.length t.prepared
@@ -131,28 +131,29 @@ let validate t txn reads writes =
   let ok = ref true in
   let fail key ~aggressor ~reason =
     ok := false;
-    Obs.Profile.note_conflict t.prof ~key;
-    Obs.Profile.note_abort_key t.prof ~key;
-    Obs.Lineage.note_conflict t.lin ~ver:(vpair txn) ~key ~aggressor ~reason
-      ~ts:(Sim.Engine.now t.engine)
+    if Obs.Bus.on t.obs then
+      emit t
+        (Obs.Bus.Blame
+           { ver = Version.to_pair txn; key; conflict = true; abort_key = true;
+             lineage = Some (Version.to_pair aggressor, reason) })
   in
   List.iter
     (fun (key, r_ver) ->
       let latest_ver, _ = latest t key in
       if not (Version.equal latest_ver r_ver) then
-        fail key ~aggressor:(vpair latest_ver) ~reason:"stale-read";
+        fail key ~aggressor:latest_ver ~reason:"stale-read";
       if other_holds t.prepared_writes key txn then
-        fail key ~aggressor:Obs.Lineage.v0 ~reason:"prepared-conflict")
+        fail key ~aggressor:Version.zero ~reason:"prepared-conflict")
     reads;
   List.iter
     (fun (key, _) ->
       if other_holds t.prepared_writes key txn then
-        fail key ~aggressor:Obs.Lineage.v0 ~reason:"prepared-conflict";
+        fail key ~aggressor:Version.zero ~reason:"prepared-conflict";
       if other_holds t.prepared_reads key txn then
-        fail key ~aggressor:Obs.Lineage.v0 ~reason:"prepared-conflict";
+        fail key ~aggressor:Version.zero ~reason:"prepared-conflict";
       let latest_ver, _ = latest t key in
       if Version.compare latest_ver txn >= 0 then
-        fail key ~aggressor:(vpair latest_ver) ~reason:"write-conflict")
+        fail key ~aggressor:latest_ver ~reason:"write-conflict")
     writes;
   !ok
 
@@ -169,7 +170,7 @@ let handle_prepare t ~src txn reads writes =
       Hashtbl.replace t.prepared txn { p_txn = txn; p_reads = reads; p_writes = writes };
       List.iter (fun (key, _) -> mark t.prepared_reads key txn) reads;
       List.iter (fun (key, _) -> mark t.prepared_writes key txn) writes;
-      if Obs.Monitor.enabled t.mon then
+      if Obs.Bus.monitoring t.obs then
         observe t
           (Obs.Monitor.Record_count
              { replica = mon_label t; count = Hashtbl.length t.prepared });
@@ -196,10 +197,7 @@ let handle_commit t txn writes =
     (fun (key, value) ->
       let m = versions t key in
       m := Version.Map.add txn value !m;
-      if Obs.Monitor.enabled t.mon then
-        observe t
-          (Obs.Monitor.Commit_install
-             { replica = mon_label t; key; ver = vpair txn }))
+      observe_install t key txn)
     writes
 
 (* ------------------------------------------------------------------ *)
@@ -259,10 +257,7 @@ let handle_wm_install t w commits =
       let m = versions t key in
       if not (Version.Map.mem v !m) then begin
         m := Version.Map.add v value !m;
-        if Obs.Monitor.enabled t.mon then
-          observe t
-            (Obs.Monitor.Commit_install
-               { replica = mon_label t; key; ver = vpair v })
+        observe_install t key v
       end)
     commits;
   t.enforce_wm <- max t.enforce_wm w;
@@ -285,7 +280,7 @@ let handle_ro_read t ~src txn key seq snap =
         | Some (v, value) -> (v, value)
         | None -> (Version.zero, ""))
     in
-    if Obs.Monitor.enabled t.mon then
+    if Obs.Bus.monitoring t.obs then
       observe t
         (Obs.Monitor.Ro_serve
            { replica = mon_label t; key; snap = (snap_ts, 0); wm = (0, min_int) });
@@ -383,10 +378,7 @@ let install t sn =
       List.iter
         (fun (v, value) ->
           m := Version.Map.add v value !m;
-          if Obs.Monitor.enabled t.mon then
-            observe t
-              (Obs.Monitor.Commit_install
-                 { replica = mon_label t; key; ver = vpair v }))
+          observe_install t key v)
         vs)
     sn.sn_store;
   List.iter
@@ -411,15 +403,12 @@ let busy_owner = function
   | Msg.Wm_mark _ | Msg.Wm_ack _ | Msg.Wm_install _ -> None
 
 let create_at ~node ~cfg ~engine ~net ~group ~index ~cores
-    ?(prof = Obs.Profile.null ()) ?(mon = Obs.Monitor.null ())
-    ?(lineage = Obs.Lineage.null ()) () =
+    ?(obs = Obs.Bus.null ()) () =
   let t =
     {
       cfg; engine; net; group; index; node;
       cpu = Cpu.create engine ~cores;
-      prof;
-      mon;
-      lin = lineage;
+      obs;
       store = Hashtbl.create 1024;
       prepared = Hashtbl.create 256;
       prepared_reads = Hashtbl.create 256;
@@ -461,7 +450,7 @@ let create_at ~node ~cfg ~engine ~net ~group ~index ~cores
   end;
   Net.set_handler net node (fun ~src msg ->
       let cost = service_cost t msg in
-      if not (Obs.Profile.enabled t.prof) then
+      if not (Obs.Bus.profiling t.obs) then
         Cpu.submit t.cpu ~cost (fun () -> handle t ~src msg)
       else begin
         let transit_us =
@@ -471,8 +460,10 @@ let create_at ~node ~cfg ~engine ~net ~group ~index ~cores
         in
         Cpu.submit t.cpu ~cost
           ~prov:(fun ~queue_us ~start_us:_ ~end_us:_ ->
-            Obs.Profile.note_busy t.prof ~kind:(Msg.label msg)
-              ~ver:(busy_owner msg) ~eid:0 ~cost_us:cost;
+            emit t
+              (Obs.Bus.Busy
+                 { kind = Msg.label msg; ver = busy_owner msg; eid = 0;
+                   cost_us = cost });
             Net.set_send_path net ~transit_us ~queue_us ~service_us:cost)
           (fun () ->
             handle t ~src msg;
@@ -480,9 +471,9 @@ let create_at ~node ~cfg ~engine ~net ~group ~index ~cores
       end);
   t
 
-let create ~cfg ~engine ~net ~group ~index ~region ~cores ?prof ?mon ?lineage () =
+let create ~cfg ~engine ~net ~group ~index ~region ~cores ?obs () =
   create_at ~node:(Net.add_node net ~region) ~cfg ~engine ~net ~group ~index
-    ~cores ?prof ?mon ?lineage ()
+    ~cores ?obs ()
 
 let state_view t =
   {

@@ -28,19 +28,15 @@ val create :
   index:int ->
   region:Simnet.Latency.region ->
   cores:int ->
-  ?prof:Obs.Profile.t ->
-  ?mon:Obs.Monitor.t ->
-  ?lineage:Obs.Lineage.t ->
+  ?obs:Obs.Bus.t ->
   unit ->
   t
-(** [prof] (default {!Obs.Profile.null}) receives busy-time and
-    contention hooks; when set, replies also carry message provenance
-    ({!Simnet.Net.set_send_path}) for the client-side decomposition.
-    [mon] (default {!Obs.Monitor.null}) receives state-transition hooks
-    (prepared-table size, commit installs, IR operation classing);
-    purely observational.  [lineage] (default {!Obs.Lineage.null})
-    receives typed OCC-validation conflict records (key, aggressor
-    version, reason). *)
+(** [obs] (default {!Obs.Bus.null}) receives CPU busy time,
+    OCC-validation blames (key, aggressor version, reason) and state
+    transitions (prepared-table size, commit installs, IR operation
+    classing); purely observational.  When it profiles, replies also
+    carry message provenance ({!Simnet.Net.set_send_path}) for the
+    client-side decomposition. *)
 
 val create_at :
   node:Simnet.Net.node ->
@@ -50,9 +46,7 @@ val create_at :
   group:int ->
   index:int ->
   cores:int ->
-  ?prof:Obs.Profile.t ->
-  ?mon:Obs.Monitor.t ->
-  ?lineage:Obs.Lineage.t ->
+  ?obs:Obs.Bus.t ->
   unit ->
   t
 (** Like {!create}, but re-registers a fresh (amnesiac) incarnation on a

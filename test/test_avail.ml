@@ -265,18 +265,20 @@ let partition_schedule =
     ]
 
 let run_audited_clean ~name ?faults exp =
-  let mon = Obs.Monitor.create () in
-  let r, h = Harness.Run.run_exp_audited ?faults ~mon exp in
+  let monitor = Obs.Monitor.create () in
+  let r, h =
+    Harness.Run.run_exp_audited ?faults ~obs:(Obs.Bus.create ~monitor ()) exp
+  in
   (match Explore.Audit.check h r with
   | Ok () -> ()
   | Error v ->
     Alcotest.failf "%s: audit violation: %s" name
       (Explore.Audit.violation_to_string v));
-  (match Obs.Monitor.violations mon with
+  (match Obs.Monitor.violations monitor with
   | [] -> ()
   | v :: _ ->
     Alcotest.failf "%s: %d monitor violation(s), first: %s" name
-      (Obs.Monitor.n_violations mon)
+      (Obs.Monitor.n_violations monitor)
       (Format.asprintf "%a" Obs.Monitor.pp_violation v));
   r
 

@@ -242,16 +242,18 @@ let golden_line sys (wname, workload) (vname, faults, staleness) =
       e_max_staleness_us = staleness;
     }
   in
-  let obs = Obs.Sink.create ~seed:7 in
-  let lineage = Obs.Lineage.create ~label () in
-  let r, h = Harness.Run.run_exp_audited ?faults ~obs ~lineage e in
+  let sink = Obs.Sink.create ~seed:7 in
+  let obs =
+    Obs.Bus.create ~sink ~lineage_log:(Obs.Lineage.create ~label ()) ()
+  in
+  let r, h = Harness.Run.run_exp_audited ?faults ~obs e in
   let hist = history_digest h in
   let b = Buffer.create 4096 in
   List.iter
     (fun (s : Obs.Sink.sample) ->
       Printf.bprintf b "%d %s %h %d %d %d %d\n" s.sm_ts s.sm_replica s.sm_cpu_busy
         s.sm_queue s.sm_records s.sm_versions s.sm_wmark_lag)
-    (Obs.Sink.samples obs);
+    (Obs.Sink.samples sink);
   let samples = Digest.to_hex (Digest.string (Buffer.contents b)) in
   Printf.sprintf "%s hist=%s samples=%s" (Harness.Stats.to_csv_row r) hist samples
 
@@ -266,35 +268,30 @@ let golden_lines () =
         golden_workloads)
     Harness.Run.[ Morty; Mvtso; Tapir; Tapir_nodist; Spanner ]
 
-let read_lines path =
-  let ic = open_in path in
-  let rec go acc =
-    match input_line ic with
-    | l -> go (l :: acc)
-    | exception End_of_file ->
-      close_in ic;
-      List.rev acc
+(* Compare [actual] with the lines of the golden [file] that satisfy
+   [select].  On mismatch, write [actual] to [actual_file] next to the
+   test binary and fail on the first differing line. *)
+let check_golden ~file ?(select = fun _ -> true) ~actual_file actual =
+  let expected =
+    List.filter select (In_channel.with_open_bin file In_channel.input_lines)
   in
-  go []
-
-let test_runner_golden () =
-  let actual = golden_lines () in
-  let expected = read_lines "golden_runner.txt" in
   if actual <> expected then begin
-    let oc = open_out "golden_runner.actual" in
-    List.iter (fun l -> output_string oc (l ^ "\n")) actual;
-    close_out oc;
+    Out_channel.with_open_bin actual_file (fun oc ->
+        List.iter (fun l -> output_string oc (l ^ "\n")) actual);
     let rec first_diff i = function
-      | a :: xs, e :: ys ->
-        if a = e then first_diff (i + 1) (xs, ys)
-        else Alcotest.failf "golden line %d differs:\n  want %s\n  got  %s" i e a
-      | [], [] -> ()
+      | a :: xs, e :: ys when a = e -> first_diff (i + 1) (xs, ys)
+      | a :: _, e :: _ ->
+        Alcotest.failf "%s line %d differs:\n  want %s\n  got  %s" file i e a
       | _ ->
-        Alcotest.failf "golden has %d lines, run produced %d"
+        Alcotest.failf "%s has %d lines, run produced %d" file
           (List.length expected) (List.length actual)
     in
     first_diff 1 (actual, expected)
   end
+
+let test_runner_golden () =
+  check_golden ~file:"golden_runner.txt" ~actual_file:"golden_runner.actual"
+    (golden_lines ())
 
 let suites =
   [

@@ -93,7 +93,9 @@ let wr_containment system () =
         (Harness.Run.system_name system ^ "-wr")
     | _ -> ycsb_exp system 17 (Harness.Run.system_name system ^ "-wr")
   in
-  let _r, txns = Harness.Run.run_exp_audited ~lineage exp_ in
+  let _r, txns =
+    Harness.Run.run_exp_audited ~obs:(Obs.Bus.create ~lineage_log:lineage ()) exp_
+  in
   let h = Adya.History.of_list txns in
   let pair (v : Cc_types.Version.t) = (v.Cc_types.Version.ts, v.Cc_types.Version.id) in
   let committed_vers =
@@ -161,7 +163,8 @@ let qcheck_cascade_roots =
     (fun seed ->
       let lineage = Obs.Lineage.create () in
       ignore
-        (Harness.Run.run_exp ~lineage
+        (Harness.Run.run_exp
+           ~obs:(Obs.Bus.create ~lineage_log:lineage ())
            (ycsb_exp Harness.Run.Morty seed "cascade-roots"));
       let recs = Obs.Lineage.records lineage in
       let blame =
@@ -196,7 +199,9 @@ let test_zero_perturbation () =
   let plain = Harness.Run.run_exp (ycsb_exp Harness.Run.Morty 17 "perturb") in
   let lineage = Obs.Lineage.create () in
   let traced =
-    Harness.Run.run_exp ~lineage (ycsb_exp Harness.Run.Morty 17 "perturb")
+    Harness.Run.run_exp
+      ~obs:(Obs.Bus.create ~lineage_log:lineage ())
+      (ycsb_exp Harness.Run.Morty 17 "perturb")
   in
   Alcotest.(check int) "committed identical" plain.Harness.Stats.r_committed
     traced.Harness.Stats.r_committed;
@@ -230,14 +235,14 @@ let flow_ids json marker =
   go 0
 
 let test_flow_pairing () =
-  let obs = Obs.Sink.create ~seed:17 in
-  let lineage = Obs.Lineage.create () in
-  let r =
-    Harness.Run.run_exp ~obs ~lineage (ycsb_exp Harness.Run.Morty 17 "flow")
+  let sink = Obs.Sink.create ~seed:17 in
+  let obs =
+    Obs.Bus.create ~sink ~lineage_log:(Obs.Lineage.create ()) ()
   in
+  let r = Harness.Run.run_exp ~obs (ycsb_exp Harness.Run.Morty 17 "flow") in
   Alcotest.(check bool) "run re-executed" true
     (r.Harness.Stats.r_reexecs_per_txn > 0.);
-  let json = Obs.Trace.to_json obs in
+  let json = Obs.Trace.to_json sink in
   let starts = flow_ids json "\"ph\":\"s\",\"id\":" in
   let finishes = flow_ids json "\"ph\":\"f\",\"bp\":\"e\",\"id\":" in
   Alcotest.(check bool) "flow arrows present" true (starts <> []);
@@ -249,7 +254,10 @@ let test_flow_pairing () =
 
 let test_tpcc_explain_names_aggressors () =
   let lineage = Obs.Lineage.create ~label:"tpcc" () in
-  ignore (Harness.Run.run_exp ~lineage (tpcc_exp 11 "tpcc-explain"));
+  ignore
+    (Harness.Run.run_exp
+       ~obs:(Obs.Bus.create ~lineage_log:lineage ())
+       (tpcc_exp 11 "tpcc-explain"));
   let recs = Obs.Lineage.records lineage in
   let reexecs = ref 0 in
   List.iter

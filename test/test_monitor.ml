@@ -195,25 +195,28 @@ let test_null_monitor () =
 
 let test_flight_ring () =
   let fl = Obs.Flight.create ~capacity:4 () in
+  let engine_ev i =
+    Obs.Flight.Engine_ev { fl_ts = i; kind = Printf.sprintf "n%d" i }
+  in
   for i = 1 to 10 do
-    Obs.Flight.note fl ~ts:i (Printf.sprintf "n%d" i)
+    Obs.Flight.record fl (engine_ev i)
   done;
   Alcotest.(check int) "total counts everything" 10 (Obs.Flight.total fl);
   let entries = Obs.Flight.entries fl in
   Alcotest.(check int) "ring bounded" 4 (List.length entries);
-  let texts =
+  let kinds =
     List.map
       (function
-        | Obs.Flight.Note { text; _ } -> text
-        | _ -> Alcotest.fail "expected Note")
+        | Obs.Flight.Engine_ev { kind; _ } -> kind
+        | _ -> Alcotest.fail "expected Engine_ev")
       entries
   in
   Alcotest.(check (list string)) "oldest to newest" [ "n7"; "n8"; "n9"; "n10" ]
-    texts;
+    kinds;
   (try Test_obs.validate_json (Obs.Flight.to_json fl)
    with Test_obs.Bad_json m -> Alcotest.failf "flight JSON invalid: %s" m);
   let null = Obs.Flight.null () in
-  Obs.Flight.note null ~ts:1 "dropped";
+  Obs.Flight.record null (engine_ev 1);
   Alcotest.(check int) "null records nothing" 0 (Obs.Flight.total null)
 
 (* --- clean audited runs stay violation-free ----------------------------- *)
@@ -237,7 +240,10 @@ let test_clean_runs () =
   List.iter
     (fun system ->
       let mon = M.create () in
-      let r = Harness.Run.run_exp ~mon (contended_exp system 7) in
+      let r =
+        Harness.Run.run_exp ~obs:(Obs.Bus.create ~monitor:mon ())
+          (contended_exp system 7)
+      in
       let name = Harness.Run.system_name system in
       Alcotest.(check bool) (name ^ ": commits") true
         (r.Harness.Stats.r_committed > 0);
@@ -266,11 +272,15 @@ let test_clean_runs () =
 let test_monitor_zero_perturbation () =
   let e = contended_exp Harness.Run.Morty 5 in
   let obs1 = Obs.Sink.create ~seed:5 in
-  let plain = Harness.Run.run_exp ~obs:obs1 e in
+  let plain = Harness.Run.run_exp ~obs:(Obs.Bus.create ~sink:obs1 ()) e in
   let obs2 = Obs.Sink.create ~seed:5 in
   let mon = M.create () in
   let flight = Obs.Flight.create () in
-  let monitored = Harness.Run.run_exp ~obs:obs2 ~mon ~flight e in
+  let monitored =
+    Harness.Run.run_exp
+      ~obs:(Obs.Bus.create ~sink:obs2 ~monitor:mon ~flight_ring:flight ())
+      e
+  in
   Alcotest.(check int) "committed identical" plain.Harness.Stats.r_committed
     monitored.Harness.Stats.r_committed;
   Alcotest.(check int) "aborted identical" plain.Harness.Stats.r_aborted
@@ -306,15 +316,16 @@ let bundle_complete name bundle =
     bundle
 
 let run_bundled ?faults e =
-  let obs = Obs.Sink.create ~seed:e.Harness.Run.e_seed in
-  let prof = Obs.Profile.create ~label:e.Harness.Run.e_label () in
-  let mon = M.create () in
-  let flight = Obs.Flight.create () in
-  ignore (Harness.Run.run_exp ?faults ~obs ~prof ~mon ~flight e);
-  (obs, prof, mon, flight)
+  let obs =
+    Obs.Bus.create ~sink:(Obs.Sink.create ~seed:e.Harness.Run.e_seed)
+      ~profile:(Obs.Profile.create ~label:e.Harness.Run.e_label ())
+      ~monitor:(M.create ()) ~flight_ring:(Obs.Flight.create ()) ()
+  in
+  ignore (Harness.Run.run_exp ?faults ~obs e);
+  (obs, Obs.Bus.monitor obs, Obs.Bus.flight_ring obs)
 
 let test_bundle_forced_violation () =
-  let obs, prof, mon, flight = run_bundled (contended_exp Harness.Run.Morty 9) in
+  let obs, mon, flight = run_bundled (contended_exp Harness.Run.Morty 9) in
   (* force a violation after the clean run so the bundle carries real
      snapshots and ring contents alongside it *)
   M.observe mon ~ts:42 (M.Watermark { replica = "r0"; wm = (99, 0) });
@@ -322,7 +333,7 @@ let test_bundle_forced_violation () =
   Alcotest.(check int) "violation forced" 1 (M.n_violations mon);
   let bundle =
     Obs.Postmortem.make ~reason:"monitor-violation" ~detail:"forced"
-      ~label:"bundle-test" ~seed:9 ~mon ~flight ~sink:obs ~prof ()
+      ~label:"bundle-test" ~seed:9 ~obs ()
   in
   bundle_complete "forced" bundle;
   Alcotest.(check bool) "snapshots non-empty" true (M.views mon <> []);
@@ -336,9 +347,7 @@ let test_bundle_on_kill () =
       (Sim.Engine.schedule_at ops.Harness.Run.co_engine ~at:kill_ts (fun () ->
            ops.Harness.Run.co_kill 2))
   in
-  let obs, prof, mon, flight =
-    run_bundled ~faults (contended_exp Harness.Run.Morty 11)
-  in
+  let obs, mon, _ = run_bundled ~faults (contended_exp Harness.Run.Morty 11) in
   Alcotest.(check int) "kill run stays violation-free" 0 (M.n_violations mon);
   (match M.incidents mon with
   | [ i ] ->
@@ -349,7 +358,7 @@ let test_bundle_on_kill () =
     (M.first_incident_ts mon);
   let bundle =
     Obs.Postmortem.make ~reason:"replica-kill" ~detail:"kill r2"
-      ~label:"bundle-kill" ~seed:11 ~mon ~flight ~sink:obs ~prof ()
+      ~label:"bundle-kill" ~seed:11 ~obs ()
   in
   bundle_complete "kill" bundle
 
@@ -403,14 +412,14 @@ let test_metrics_final_window () =
       e_measure_us = 105_000 }
   in
   let obs = Obs.Sink.create ~seed:13 in
-  ignore (Harness.Run.run_exp ~obs e);
+  ignore (Harness.Run.run_exp ~obs:(Obs.Bus.create ~sink:obs ()) e);
   Alcotest.(check int) "last sample at the exact horizon" 125_000
     (last_sample_ts (Obs.Metrics.to_csv obs));
   (* when the horizon lands on the interval there is no duplicate tail:
      samples stay strictly increasing per replica *)
   let e2 = contended_exp Harness.Run.Morty 13 in
   let obs2 = Obs.Sink.create ~seed:13 in
-  ignore (Harness.Run.run_exp ~obs:obs2 e2);
+  ignore (Harness.Run.run_exp ~obs:(Obs.Bus.create ~sink:obs2 ()) e2);
   Alcotest.(check int) "aligned horizon sampled once at the end" 120_000
     (last_sample_ts (Obs.Metrics.to_csv obs2));
   let per_replica = Hashtbl.create 8 in

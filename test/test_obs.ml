@@ -279,7 +279,10 @@ let traced_exp ?(system = Harness.Run.Morty) ?(clients = 2) ?(seed = 11) () =
 
 let run_traced ?system ?clients ?(seed = 11) () =
   let obs = Obs.Sink.create ~seed in
-  let r = Harness.Run.run_exp ~obs (traced_exp ?system ?clients ~seed ()) in
+  let r =
+    Harness.Run.run_exp ~obs:(Obs.Bus.create ~sink:obs ())
+      (traced_exp ?system ?clients ~seed ())
+  in
   (r, obs)
 
 (* The golden property: two identical runs produce byte-identical trace
@@ -343,7 +346,7 @@ let test_span_coverage () =
     { Morty.Config.default with always_slow_path = true; reexecution = true }
   in
   ignore
-    (Harness.Run.run_morty_with_config ~obs:obs_slow
+    (Harness.Run.run_morty_with_config ~obs:(Obs.Bus.create ~sink:obs_slow ())
        (traced_exp ~clients:8 ~seed:7 ())
        cfg);
   let slow_has_finalize =
@@ -401,7 +404,9 @@ let test_events_by_kind () =
     (plain.Harness.Stats.r_events.Harness.Stats.ev_timers > 0);
   Alcotest.(check int) "no ticker without a sink" 0
     plain.Harness.Stats.r_events.Harness.Stats.ev_tickers;
-  let traced = Harness.Run.run_exp ~obs:(Obs.Sink.create ~seed:2) e in
+  let traced =
+    Harness.Run.run_exp ~obs:(Obs.Bus.create ~sink:(Obs.Sink.create ~seed:2) ()) e
+  in
   Alcotest.(check bool) "metrics ticker fires when traced" true
     (traced.Harness.Stats.r_events.Harness.Stats.ev_tickers > 0);
   (* tickers are extra events; timer/delivery counts must not move *)

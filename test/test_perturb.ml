@@ -80,62 +80,57 @@ type outcome = {
   violations : int;  (** monitor violations *)
   artifacts : (string * string) list;  (** (kind, bytes) per observer *)
   observed : int;  (** monitor transitions *)
-  finished : (string list * string list) option;
+  finished : string list * string list;
       (** sorted [ver] args of the trace's [txn] spans and sorted
-          versions of finished lineage records, when both are on *)
+          versions of finished lineage records *)
 }
 
 (* Runs on a worker domain in the parallel cells: every observer is
    created here, and only immutable data travels back. *)
 let run_case o case =
   let label = Case.label case in
+  let on flag create = if flag then Some (create ()) else None in
   let obs =
-    if o.sink then Obs.Sink.create ~seed:case.Case.c_seed else Obs.Sink.null ()
+    Obs.Bus.create
+      ?sink:(on o.sink (fun () -> Obs.Sink.create ~seed:case.Case.c_seed))
+      ?profile:(on o.profile (Obs.Profile.create ~label))
+      ?monitor:(on o.monitor Obs.Monitor.create)
+      ?flight_ring:(on o.flight Obs.Flight.create)
+      ?lineage_log:(on o.lineage (Obs.Lineage.create ~label))
+      ()
   in
-  let prof =
-    if o.profile then Obs.Profile.create ~label () else Obs.Profile.null ()
-  in
-  let mon = if o.monitor then Obs.Monitor.create () else Obs.Monitor.null () in
-  let flight = if o.flight then Obs.Flight.create () else Obs.Flight.null () in
-  let lineage =
-    if o.lineage then Obs.Lineage.create ~label () else Obs.Lineage.null ()
-  in
-  let verdict = Case.run ~obs ~prof ~mon ~flight ~lineage case in
+  let verdict = Case.run ~obs case in
+  let sink = Obs.Bus.sink obs and monitor = Obs.Bus.monitor obs in
   let artifact on kind render = if on then [ (kind, render ()) ] else [] in
-  let txn_span_vers () =
-    List.filter_map
-      (fun (e : Obs.Sink.event) ->
-        match (e.ev_ph, e.ev_name, List.assoc_opt "ver" e.ev_args) with
-        | Obs.Sink.Complete, "txn", Some (Obs.Sink.S v) -> Some v
-        | _ -> None)
-      (Obs.Sink.events obs)
-  in
-  let finished_lineage_vers () =
-    List.filter_map
-      (fun (r : Obs.Lineage.record) ->
-        if r.r_end_us > 0 then Some (Fmt.str "%a" Obs.Lineage.pp_ver r.r_ver) else None)
-      (Obs.Lineage.records lineage)
-  in
+  let sorted f l = List.sort compare (List.filter_map f l) in
   {
     verdict;
-    violations = Obs.Monitor.n_violations mon;
-    observed = Obs.Monitor.n_observed mon;
+    violations = Obs.Monitor.n_violations monitor;
+    observed = Obs.Monitor.n_observed monitor;
     finished =
-      (if o.sink && o.lineage then
-         Some
-           ( List.sort compare (txn_span_vers ()),
-             List.sort compare (finished_lineage_vers ()) )
-       else None);
+      ( sorted
+          (fun (e : Obs.Sink.event) ->
+            match (e.ev_ph, e.ev_name, List.assoc_opt "ver" e.ev_args) with
+            | Obs.Sink.Complete, "txn", Some (Obs.Sink.S v) -> Some v
+            | _ -> None)
+          (Obs.Sink.events sink),
+        sorted
+          (fun (r : Obs.Lineage.record) ->
+            if r.r_end_us > 0 then Some (Fmt.str "%a" Obs.Lineage.pp_ver r.r_ver)
+            else None)
+          (Obs.Lineage.records (Obs.Bus.lineage_log obs)) );
     artifacts =
       List.concat
         [
-          artifact o.sink "trace" (fun () -> Obs.Trace.to_json obs);
-          artifact o.sink "metrics" (fun () -> Obs.Metrics.to_csv obs);
-          artifact o.profile "profile" (fun () -> Obs.Profile.to_json prof);
+          artifact o.sink "trace" (fun () -> Obs.Trace.to_json sink);
+          artifact o.sink "metrics" (fun () -> Obs.Metrics.to_csv sink);
+          artifact o.profile "profile" (fun () ->
+              Obs.Profile.to_json (Obs.Bus.profile obs));
           artifact o.flight
             (if o.sink then "flight (with sink)" else "flight")
-            (fun () -> Obs.Flight.to_json flight);
-          artifact o.lineage "lineage" (fun () -> Obs.Lineage.to_jsonl lineage);
+            (fun () -> Obs.Flight.to_json (Obs.Bus.flight_ring obs));
+          artifact o.lineage "lineage" (fun () ->
+              Obs.Lineage.to_jsonl (Obs.Bus.lineage_log obs));
         ];
   }
 
@@ -164,35 +159,17 @@ let golden_lines sys outcomes =
        outcomes)
 
 let check_golden sys outcomes =
-  let actual = golden_lines sys outcomes in
-  let prefix = sys ^ " " in
-  let expected =
-    In_channel.with_open_bin "golden_observers.txt" In_channel.input_lines
-    |> List.filter (String.starts_with ~prefix)
-  in
-  if actual <> expected then begin
-    Out_channel.with_open_bin
-      (Printf.sprintf "golden_observers-%s.actual" sys)
-      (fun oc -> List.iter (fun l -> output_string oc (l ^ "\n")) actual);
-    let rec first_diff = function
-      | a :: xs, e :: ys when a = e -> first_diff (xs, ys)
-      | a :: _, e :: _ ->
-        Alcotest.failf "golden_observers.txt differs (system case artifact):\n  want %s\n  got  %s" e a
-      | _ ->
-        Alcotest.failf "golden_observers.txt has %d lines for %s, run gave %d"
-          (List.length expected) sys (List.length actual)
-    in
-    first_diff (actual, expected)
-  end
+  Test_harness.check_golden ~file:"golden_observers.txt"
+    ~select:(String.starts_with ~prefix:(sys ^ " "))
+    ~actual_file:(Printf.sprintf "golden_observers-%s.actual" sys)
+    (golden_lines sys outcomes)
 
-let check_finished cell case = function
-  | None -> ()
-  | Some (spans, records) ->
-    if spans <> records then
-      Alcotest.failf
-        "cell %s, case %s: %d txn spans but %d finished lineage records, \
-         or their versions differ"
-        cell (Case.label case) (List.length spans) (List.length records)
+let check_finished cell case o (spans, records) =
+  if o.sink && o.lineage && spans <> records then
+    Alcotest.failf
+      "cell %s, case %s: %d txn spans but %d finished lineage records, or \
+       their versions differ"
+      cell (Case.label case) (List.length spans) (List.length records)
 
 type observed =
   | Verdict of (Stats.result, Explore.Audit.violation) result
@@ -234,7 +211,7 @@ let check_system system () =
           if o.monitor && out.violations > 0 then
             Alcotest.failf "cell %s, case %s: %d monitor violations" cell
               (Case.label case) out.violations;
-          check_finished cell case out.finished;
+          check_finished cell case o out.finished;
           agree cell case i
             (Printf.sprintf "result (sink=%b, lineage=%b)" o.sink o.lineage)
             (Verdict out.verdict);

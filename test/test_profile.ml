@@ -23,7 +23,7 @@ let contended_exp ?(system = Harness.Run.Morty) ?(clients = 16) ?(seed = 21) ()
 let run_prof ?system ?clients ?seed () =
   let e = contended_exp ?system ?clients ?seed () in
   let prof = Obs.Profile.create ~label:e.Harness.Run.e_label () in
-  let r = Harness.Run.run_exp ~prof e in
+  let r = Harness.Run.run_exp ~obs:(Obs.Bus.create ~profile:prof ()) e in
   (r, prof)
 
 (* Same seed, twice: the profile JSON must be byte-identical.  Any
@@ -143,7 +143,7 @@ let test_null_profiler () =
   Alcotest.(check bool) "null disabled" false (Obs.Profile.enabled p);
   (* hooks on the null profiler are no-ops, not crashes *)
   Obs.Profile.note_busy p ~kind:"x" ~ver:(Some (1, 1)) ~eid:0 ~cost_us:5;
-  Obs.Profile.note_conflict p ~key:"k";
+  Obs.Profile.note_key p ~key:"k" ~conflicts:1 ~reexecs:0 ~aborts:0;
   Obs.Profile.record_txn p ~latency_us:10 ~comps:(Array.make Obs.Profile.n_cells 0);
   Alcotest.(check int) "null records nothing" 0 (Obs.Profile.n_txns p);
   Alcotest.(check bool) "create enabled" true
@@ -213,7 +213,9 @@ let fig9_profiles =
              ~label:(Harness.Run.system_name system)
              ()
          in
-         ignore (Harness.Run.run_exp ~prof (fig9_exp system));
+         ignore
+           (Harness.Run.run_exp ~obs:(Obs.Bus.create ~profile:prof ())
+              (fig9_exp system));
          (system, prof))
        Harness.Run.all_systems)
 
@@ -300,31 +302,15 @@ let bench_exp system =
   }
 
 let test_profile_matches_golden () =
-  let actual =
-    List.map
-      (fun system ->
-        let e = bench_exp system in
-        let prof = Obs.Profile.create ~label:e.Harness.Run.e_label () in
-        ignore (Harness.Run.run_exp ~prof e);
-        Obs.Profile.to_json prof)
-      golden_profile_systems
-  in
-  let expected =
-    In_channel.with_open_bin "golden_profile.txt" In_channel.input_all
-  in
-  if String.concat "" actual <> expected then begin
-    Out_channel.with_open_bin "golden_profile.actual" (fun oc ->
-        List.iter (output_string oc) actual);
-    let want = Array.of_list (String.split_on_char '\n' expected) in
-    List.iteri
-      (fun i (system, got) ->
-        let want = if i < Array.length want then want.(i) else "" in
-        if String.trim got <> want then
-          Alcotest.failf "%s profile differs:\n  want %s\n  got  %s"
-            (Harness.Run.system_name system) want (String.trim got))
-      (List.combine golden_profile_systems actual);
-    Alcotest.fail "golden_profile.txt has extra lines"
-  end
+  Test_harness.check_golden ~file:"golden_profile.txt"
+    ~actual_file:"golden_profile.actual"
+    (List.map
+       (fun system ->
+         let e = bench_exp system in
+         let prof = Obs.Profile.create ~label:e.Harness.Run.e_label () in
+         ignore (Harness.Run.run_exp ~obs:(Obs.Bus.create ~profile:prof ()) e);
+         String.trim (Obs.Profile.to_json prof))
+       golden_profile_systems)
 
 (* Attaching the profiler observes, never steers: the result row and the
    audited history are identical with and without it. *)
@@ -335,7 +321,9 @@ let test_profiler_does_not_perturb () =
       let name = Harness.Run.system_name system in
       let r0, h0 = Harness.Run.run_exp_audited e in
       let prof = Obs.Profile.create ~label:e.Harness.Run.e_label () in
-      let r1, h1 = Harness.Run.run_exp_audited ~prof e in
+      let r1, h1 =
+        Harness.Run.run_exp_audited ~obs:(Obs.Bus.create ~profile:prof ()) e
+      in
       Alcotest.(check bool) (name ^ ": profiled") true (Obs.Profile.n_txns prof > 0);
       Alcotest.(check string) (name ^ ": csv row")
         (Harness.Stats.to_csv_row r0) (Harness.Stats.to_csv_row r1);

@@ -32,4 +32,6 @@ end
 module Map = Map.Make (Ord)
 module Set = Set.Make (Ord)
 
-let hash v = Hashtbl.hash (v.ts, v.id)
+(* The record is a block of tag 0 holding [ts] and [id], the same shape
+   as the pair [(v.ts, v.id)], so it hashes alike without building one. *)
+let hash (v : t) = Hashtbl.hash v

@@ -389,26 +389,26 @@ and evaluate_votes t txn p =
   match Vote.aggregate ~f:t.cfg.f ~force:p.p_forced votes with
   | Vote.Undecided -> ()
   | Vote.Commit_fast when t.cfg.always_slow_path ->
-    cancel_timer p;
+    cancel_timer t p;
     start_finalize t txn p.p_eid Decision.Commit
   | Vote.Commit_fast ->
     observe_fast_path t txn p votes;
-    cancel_timer p;
+    cancel_timer t p;
     finish_commit t txn p.p_eid ~fast:true
   | Vote.Abandon_fast ->
-    cancel_timer p;
+    cancel_timer t p;
     abandon_outcome t txn p.p_eid
   | Vote.Commit_slow ->
-    cancel_timer p;
+    cancel_timer t p;
     start_finalize t txn p.p_eid Decision.Commit
   | Vote.Abandon_slow ->
-    cancel_timer p;
+    cancel_timer t p;
     start_finalize t txn p.p_eid Decision.Abandon
 
-and cancel_timer p =
+and cancel_timer t p =
   match p.p_timer with
   | Some timer ->
-    Engine.cancel timer;
+    Engine.cancel t.engine timer;
     p.p_timer <- None
   | None -> ()
 
@@ -447,7 +447,7 @@ and reexecute t txn idx (slot : slot) w_ver value ~trigger =
      so overlapping is safe and saves a round trip per re-execution. *)
   (match txn.phase with
    | Preparing p when p.p_eid = txn.eid ->
-     cancel_timer p;
+     cancel_timer t p;
      Hashtbl.replace t.abandon_acks (txn.ver, txn.eid) (ref []);
      broadcast t
        (Msg.Finalize

@@ -67,6 +67,7 @@ type t = {
   net : Msg.t Net.t;
   rng : Sim.Rng.t;
   index : int;
+  mon_label : string;  (* this replica in monitor events, formatted once *)
   node : Net.node;
   cores : int;
   cpu : Cpu.t;
@@ -114,7 +115,6 @@ let watermark t = t.watermark
 
 (* --- Observation ---------------------------------------------------------- *)
 
-let mon_label t = Printf.sprintf "r%d" t.index
 let emit t ev = Obs.Bus.emit t.obs ~ts:(Engine.now t.engine) ~pid:t.node ev
 let observe t tr = emit t (Obs.Bus.State tr)
 
@@ -122,7 +122,7 @@ let observe_install t key ver =
   if Obs.Bus.monitoring t.obs then
     observe t
       (Obs.Monitor.Commit_install
-         { replica = mon_label t; key; ver = Version.to_pair ver })
+         { replica = t.mon_label; key; ver = Version.to_pair ver })
 
 (* Contention on [key] while validating [ver]: a profiled conflict
    and/or abort blame, and the lineage record's aggressor and reason. *)
@@ -179,7 +179,7 @@ let entry t ver eid =
     if Obs.Bus.monitoring t.obs then
       observe t
         (Obs.Monitor.Record_count
-           { replica = mon_label t; count = Hashtbl.length t.erecord });
+           { replica = t.mon_label; count = Hashtbl.length t.erecord });
     (match Hashtbl.find_opt t.max_eid ver with
      | Some m when m >= eid -> ()
      | Some _ | None -> Hashtbl.replace t.max_eid ver eid);
@@ -222,7 +222,7 @@ let handle_get t ~src ver key seq =
   if Obs.Bus.monitoring t.obs then
     observe t
       (Obs.Monitor.Read_serve
-         { replica = mon_label t; key; reader = Version.to_pair ver;
+         { replica = t.mon_label; key; reader = Version.to_pair ver;
            served = Version.to_pair reply.r_ver });
   send t src
     (Msg.Get_reply
@@ -236,7 +236,7 @@ let notify_read t key (r : Mvstore.Vrecord.read) (reply : Mvstore.Vrecord.reply)
   if Obs.Bus.monitoring t.obs then
     observe t
       (Obs.Monitor.Read_serve
-         { replica = mon_label t; key; reader = Version.to_pair r.reader;
+         { replica = t.mon_label; key; reader = Version.to_pair r.reader;
            served = Version.to_pair reply.r_ver });
   send t r.coord
     (Msg.Get_reply
@@ -338,7 +338,7 @@ let validate t ver (read_set : Rwset.read_set) (write_set : Rwset.write_set) =
           | Some n ->
             observe t
               (Obs.Monitor.Trunc_read
-                 { replica = mon_label t; key = r.key;
+                 { replica = t.mon_label; key = r.key;
                    served = Version.to_pair r.r_ver;
                    newest = Version.to_pair n })
           | None -> ())
@@ -951,7 +951,7 @@ and handle_truncation_finished t upto merged =
   if advanced then begin
     if Obs.Bus.monitoring t.obs then
       observe t
-        (Obs.Monitor.Watermark { replica = mon_label t; wm = Version.to_pair upto });
+        (Obs.Monitor.Watermark { replica = t.mon_label; wm = Version.to_pair upto });
     t.watermark <- Some upto
   end;
   raise_fence t upto;
@@ -980,7 +980,7 @@ and handle_truncation_finished t upto merged =
     Mvstore.Vstore.iter t.store (fun key vr ->
         observe t
           (Obs.Monitor.Gc_survivor
-             { replica = mon_label t; key;
+             { replica = t.mon_label; key;
                newest =
                  Option.map Version.to_pair (Mvstore.Vrecord.newest_committed vr);
                wm = Version.to_pair upto }))
@@ -1008,7 +1008,7 @@ let handle_ro_get t ~src snap key seq ro_id =
     if Obs.Bus.monitoring t.obs then
       observe t
         (Obs.Monitor.Ro_serve
-           { replica = mon_label t; key; snap = Version.to_pair snap;
+           { replica = t.mon_label; key; snap = Version.to_pair snap;
              wm = Version.to_pair wm });
     send t src
       (Msg.Get_reply
@@ -1127,7 +1127,7 @@ let absorb_catchup t ~src cu watermark decisions store erecord =
             | None -> true) ->
       if Obs.Bus.monitoring t.obs then
         observe t
-          (Obs.Monitor.Watermark { replica = mon_label t; wm = Version.to_pair w });
+          (Obs.Monitor.Watermark { replica = t.mon_label; wm = Version.to_pair w });
       t.watermark <- Some w
     | _ -> ()
   end
@@ -1317,7 +1317,7 @@ let create_at ~node ~cfg ~engine ~net ~rng ~index ~cores
     ?(obs = Obs.Bus.null ()) () =
   let t =
     {
-      cfg; engine; net; rng; index; node; cores;
+      cfg; engine; net; rng; index; mon_label = Printf.sprintf "r%d" index; node; cores;
       cpu = Cpu.create engine ~cores;
       obs;
       peers = [||];
@@ -1383,7 +1383,7 @@ let state_view t =
       versions :=
         !versions + List.length (Mvstore.Vrecord.committed_writes_list vr));
   {
-    Obs.Monitor.v_replica = mon_label t;
+    Obs.Monitor.v_replica = t.mon_label;
     v_stopped = t.stopped;
     v_recovering = is_recovering t;
     v_watermark = Option.map Version.to_pair t.watermark;

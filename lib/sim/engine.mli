@@ -6,8 +6,10 @@
 
 type t
 
-type timer
-(** Handle to a scheduled event, usable for cancellation. *)
+type timer [@@immediate]
+(** Handle to a scheduled event, usable for cancellation: an immediate
+    int packing the event's unique sequence number with its heap slot,
+    so scheduling allocates no handle. *)
 
 type kind =
   | Timer  (** protocol timers, CPU completions, workload arrivals *)
@@ -31,9 +33,12 @@ val schedule_at : t -> ?kind:kind -> at:int -> (unit -> unit) -> timer
 (** [schedule_at t ~at f] runs [f] at absolute time [at] (or [now t] if
     [at] is in the past). *)
 
-val cancel : timer -> unit
-(** Cancel a scheduled event.  Cancelling a fired or already-cancelled
-    timer is a no-op. *)
+val cancel : t -> timer -> unit
+(** Cancel a scheduled event of this engine.  It acts only while the
+    event is live: cancelling a fired or already-cancelled timer is a
+    no-op, also once its heap slot holds a later event.  The cancelled
+    event stays queued as a ghost until it reaches the top (see
+    {!raw_pending}). *)
 
 val pending : t -> int
 (** Number of {e live} events still queued.  Cancelled-but-undrained
@@ -46,8 +51,10 @@ val raw_pending : t -> int
 
 val step : t -> bool
 (** Fire the next event.  Returns [false] if the queue was empty.
-    Dispatch itself allocates nothing; {!schedule} allocates only the
-    event record. *)
+    Neither dispatch nor {!schedule} allocates: the action is stored in
+    the heap's slab, its kind and liveness in per-slot arrays, and
+    the {!timer} is an int.  The only words an event costs are the
+    caller's closure (and the rare doubling of the arrays). *)
 
 val run : t -> unit
 (** Fire events until the queue drains. *)

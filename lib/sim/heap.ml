@@ -1,45 +1,63 @@
-(* Struct-of-arrays storage: the keys live in two unboxed [int] arrays,
-   so a sift compares plain ints and never follows a pointer; values move
-   only when their slot changes.  Sifts move a hole instead of swapping.
+(* Keys and values are stored apart.  Each queued value lives in a slot
+   of the [slab]: written once by [push], reset to [filler] once by
+   [remove_min], never moved in between.  The heap proper is three
+   unboxed [int] arrays indexed by heap position -- [times], [seqs] and
+   [slots] (the slab slot of the entry) -- so a sift compares and moves
+   plain ints, follows no pointer and triggers no write barrier.  Sifts
+   move a hole instead of swapping.
 
-   Slots in [size, capacity) hold [filler], the value whose push first
-   sized the arrays: fresh capacity is filled with it, and every slot a
-   removal vacates is pointed back at it.  So at most that one value can
-   stay reachable after it leaves the heap. *)
+   [slots] is a permutation of [0, capacity): positions [0, size) name
+   the occupied slots in heap order, positions [size, capacity) are the
+   stack of free slots, its top at [size].  A push takes the slot at
+   [size]; a removal pushes the freed slot back at the new [size].
+
+   Free slots hold [filler], the value whose push first sized the
+   arrays, so at most that one value can stay reachable after it leaves
+   the heap. *)
 type 'a t = {
   mutable times : int array;
   mutable seqs : int array;
-  mutable vals : 'a array;
+  mutable slots : int array;
+  mutable slab : 'a array;
   mutable filler : 'a option;
   mutable size : int;
   mutable max_size : int;
 }
 
 let create () =
-  { times = [||]; seqs = [||]; vals = [||]; filler = None; size = 0; max_size = 0 }
+  { times = [||]; seqs = [||]; slots = [||]; slab = [||]; filler = None;
+    size = 0; max_size = 0 }
 
 let length t = t.size
 let max_size t = t.max_size
 let is_empty t = t.size = 0
 
+(* Called only when every slot is occupied ([size = capacity]), so the
+   new slots [cap, cap') are exactly the new free stack. *)
 let grow t v =
   let cap = Array.length t.times in
   let filler = match t.filler with Some f -> f | None -> v in
   let cap' = if cap = 0 then 16 else cap * 2 in
-  let times = Array.make cap' 0 and seqs = Array.make cap' 0 in
-  let vals = Array.make cap' filler in
-  Array.blit t.times 0 times 0 t.size;
-  Array.blit t.seqs 0 seqs 0 t.size;
-  Array.blit t.vals 0 vals 0 t.size;
-  t.times <- times;
-  t.seqs <- seqs;
-  t.vals <- vals;
+  let extend a fill =
+    let a' = Array.make cap' fill in
+    Array.blit a 0 a' 0 cap;
+    a'
+  in
+  t.times <- extend t.times 0;
+  t.seqs <- extend t.seqs 0;
+  t.slots <- extend t.slots 0;
+  t.slab <- extend t.slab filler;
+  for s = cap to cap' - 1 do
+    Array.unsafe_set t.slots s s
+  done;
   t.filler <- Some filler
 
-let push t ~time ~seq v =
+let push_slot t ~time ~seq v =
   if t.size = Array.length t.times then grow t v;
-  let times = t.times and seqs = t.seqs and vals = t.vals in
+  let times = t.times and seqs = t.seqs and slots = t.slots in
   let i = ref t.size in
+  let slot = Array.unsafe_get slots !i in
+  Array.unsafe_set t.slab slot v;
   t.size <- t.size + 1;
   if t.size > t.max_size then t.max_size <- t.size;
   (* Sift up: move parents down into the hole while the new key is
@@ -51,23 +69,36 @@ let push t ~time ~seq v =
     if time < pt || (time = pt && seq < Array.unsafe_get seqs p) then begin
       Array.unsafe_set times !i pt;
       Array.unsafe_set seqs !i (Array.unsafe_get seqs p);
-      Array.unsafe_set vals !i (Array.unsafe_get vals p);
+      Array.unsafe_set slots !i (Array.unsafe_get slots p);
       i := p
     end
     else continue := false
   done;
   Array.unsafe_set times !i time;
   Array.unsafe_set seqs !i seq;
-  Array.unsafe_set vals !i v
+  Array.unsafe_set slots !i slot;
+  slot
+
+let push t ~time ~seq v = ignore (push_slot t ~time ~seq v : int)
 
 let min_time t =
   if t.size = 0 then invalid_arg "Heap.min_time: empty heap";
   Array.unsafe_get t.times 0
 
+let min_seq t =
+  if t.size = 0 then invalid_arg "Heap.min_seq: empty heap";
+  Array.unsafe_get t.seqs 0
+
+let min_slot t =
+  if t.size = 0 then invalid_arg "Heap.min_slot: empty heap";
+  Array.unsafe_get t.slots 0
+
 let remove_min t =
   if t.size = 0 then invalid_arg "Heap.remove_min: empty heap";
-  let times = t.times and seqs = t.seqs and vals = t.vals in
-  let min = Array.unsafe_get vals 0 in
+  let times = t.times and seqs = t.seqs and slots = t.slots in
+  let freed = Array.unsafe_get slots 0 in
+  let min = Array.unsafe_get t.slab freed in
+  (match t.filler with Some f -> Array.unsafe_set t.slab freed f | None -> ());
   let n = t.size - 1 in
   t.size <- n;
   if n > 0 then begin
@@ -75,7 +106,7 @@ let remove_min t =
        (the left one on a tie) up into the hole while it is strictly
        smaller than the entry. *)
     let time = Array.unsafe_get times n and seq = Array.unsafe_get seqs n in
-    let v = Array.unsafe_get vals n in
+    let slot = Array.unsafe_get slots n in
     let i = ref 0 in
     let continue = ref true in
     while !continue do
@@ -96,7 +127,7 @@ let remove_min t =
         if ct < time || (ct = time && Array.unsafe_get seqs c < seq) then begin
           Array.unsafe_set times !i ct;
           Array.unsafe_set seqs !i (Array.unsafe_get seqs c);
-          Array.unsafe_set vals !i (Array.unsafe_get vals c);
+          Array.unsafe_set slots !i (Array.unsafe_get slots c);
           i := c
         end
         else continue := false
@@ -104,9 +135,9 @@ let remove_min t =
     done;
     Array.unsafe_set times !i time;
     Array.unsafe_set seqs !i seq;
-    Array.unsafe_set vals !i v
+    Array.unsafe_set slots !i slot
   end;
-  (match t.filler with Some f -> Array.unsafe_set vals n f | None -> ());
+  Array.unsafe_set slots n freed;
   min
 
 let pop t =

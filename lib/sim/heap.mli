@@ -5,15 +5,20 @@
     scheduled for the same instant fire in scheduling order — a
     requirement for deterministic simulation.
 
-    Storage is struct-of-arrays: keys sit in unboxed [int] arrays, so
-    sifting compares ints without following a pointer.  {!push},
+    Each element lives in a {e slab slot}: written once by {!push},
+    reset once by {!remove_min}, never moved while queued.  The heap
+    itself holds only unboxed [int]s -- [(time, seq, slot)] per entry --
+    so a sift compares and moves ints, follows no pointer and triggers
+    no write barrier.  Free slots are kept on an int stack and reused,
+    so a slot number is unique among the queued elements but not over
+    time; {!Engine} pairs it with [seq] to name one event.  {!push},
     {!min_time} and {!remove_min} allocate nothing except when {!push}
     grows the arrays (capacity doubles).  {!pop} and {!peek_time}
     allocate their option result.
 
     A removed element is not kept reachable by the heap, with one
     exception: the element whose {!push} first sized the arrays fills
-    unused slots for the heap's whole life. *)
+    free slots for the heap's whole life. *)
 
 type 'a t
 
@@ -33,8 +38,21 @@ val is_empty : 'a t -> bool
 val push : 'a t -> time:int -> seq:int -> 'a -> unit
 (** Insert an element keyed by [(time, seq)]. *)
 
+val push_slot : 'a t -> time:int -> seq:int -> 'a -> int
+(** {!push}, returning the slab slot the element occupies until it is
+    removed: a non-negative int below the arrays' capacity, so a caller
+    can keep per-slot data in arrays of its own. *)
+
 val min_time : 'a t -> int
 (** Time key of the minimum element.  Allocation-free.  Raises
+    [Invalid_argument] if the heap is empty. *)
+
+val min_seq : 'a t -> int
+(** Sequence key of the minimum element.  Allocation-free.  Raises
+    [Invalid_argument] if the heap is empty. *)
+
+val min_slot : 'a t -> int
+(** Slab slot of the minimum element.  Allocation-free.  Raises
     [Invalid_argument] if the heap is empty. *)
 
 val remove_min : 'a t -> 'a

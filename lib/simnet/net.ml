@@ -171,15 +171,18 @@ let send t ~src ~dst msg =
              match d.handler with
              | None -> t.dropped <- t.dropped + 1
              | Some h ->
+               (* Fires at [at], so the clock reads it: not capturing
+                  [at] keeps the closure a word smaller. *)
+               let recv_us = Sim.Engine.now t.engine in
                t.delivered <- t.delivered + 1;
                (match t.observer with
                | None -> ()
                | Some f ->
-                 f (Delivered { ne_ts = at; ne_src = src; ne_dst = dst;
+                 f (Delivered { ne_ts = recv_us; ne_src = src; ne_dst = dst;
                                 ne_msg = msg; ne_send_us = now }));
                t.in_delivery <- true;
                t.cur_send_us <- now;
-               t.cur_recv_us <- at;
+               t.cur_recv_us <- recv_us;
                t.cur_path <- path;
                h ~src msg;
                t.in_delivery <- false))

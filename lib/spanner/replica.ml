@@ -26,6 +26,7 @@ type t = {
   clock : Sim.Clock.t;
   group : int;
   index : int;
+  mon_label : string;  (* this replica in monitor events, formatted once *)
   node : Net.node;
   cpu : Cpu.t;
   obs : Obs.Bus.t;
@@ -74,7 +75,6 @@ let waiting_locks t = Lock_table.waiting t.locks
 
 (* --- Observation ---------------------------------------------------------- *)
 
-let mon_label t = Printf.sprintf "g%dr%d" t.group t.index
 let emit t ev = Obs.Bus.emit t.obs ~ts:(Engine.now t.engine) ~pid:t.node ev
 let observe t tr = emit t (Obs.Bus.State tr)
 
@@ -82,7 +82,7 @@ let observe_install t key ver =
   if Obs.Bus.monitoring t.obs then
     observe t
       (Obs.Monitor.Commit_install
-         { replica = mon_label t; key; ver = Version.to_pair ver })
+         { replica = t.mon_label; key; ver = Version.to_pair ver })
 
 (* A lock request for [txn] on [key] queued behind a holder. *)
 let note_lock_wait t txn key =
@@ -102,7 +102,7 @@ let observe_grant t ~txn ~key ~(mode : Lock_table.mode) =
     observe t
       (Obs.Monitor.Lock_grant
          {
-           replica = mon_label t;
+           replica = t.mon_label;
            key;
            txn = Version.to_pair txn;
            mode = (match mode with Lock_table.Read -> Obs.Monitor.Read
@@ -288,7 +288,7 @@ and finish_prepare t txn (pp : pending_prep) =
         if Obs.Bus.monitoring t.obs then
           observe t
             (Obs.Monitor.Record_count
-               { replica = mon_label t; count = Hashtbl.length t.prepared });
+               { replica = t.mon_label; count = Hashtbl.length t.prepared });
         send t pp.pp_client (Msg.Prepare_ack { txn; group = t.group; prepare_ts = ts })
       end
       else begin
@@ -403,7 +403,7 @@ let handle_ro_read t ~src ro_id key ts seq =
     if Obs.Bus.monitoring t.obs then
       observe t
         (Obs.Monitor.Ro_serve
-           { replica = mon_label t; key; snap = (ts, 0); wm = (0, min_int) });
+           { replica = t.mon_label; key; snap = (ts, 0); wm = (0, min_int) });
     serve ()
   end
   else send t src (Msg.Ro_stale { ro_id; seq })
@@ -542,7 +542,7 @@ let create_at ~node ~cfg ~engine ~net ~group ~index ~cores
     {
       cfg; engine; net;
       clock = Sim.Clock.perfect engine;
-      group; index; node;
+      group; index; mon_label = Printf.sprintf "g%dr%d" group index; node;
       cpu = Cpu.create engine ~cores;
       obs;
       peers = [||];
@@ -622,7 +622,7 @@ let state_view t =
     Hashtbl.fold (fun _ m acc -> acc + Version.Map.cardinal !m) t.store 0
   in
   {
-    Obs.Monitor.v_replica = mon_label t;
+    Obs.Monitor.v_replica = t.mon_label;
     v_stopped = t.stopped;
     v_recovering = false;
     v_watermark =

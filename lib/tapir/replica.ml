@@ -27,6 +27,7 @@ type t = {
   net : Msg.t Net.t;
   group : int;
   index : int;
+  mon_label : string;  (* this replica in monitor events, formatted once *)
   node : Net.node;
   cpu : Cpu.t;
   obs : Obs.Bus.t;
@@ -53,7 +54,6 @@ let node t = t.node
 let cpu t = t.cpu
 let applied_wm t = t.applied_wm
 
-let mon_label t = Printf.sprintf "g%dr%d" t.group t.index
 let emit t ev = Obs.Bus.emit t.obs ~ts:(Sim.Engine.now t.engine) ~pid:t.node ev
 let observe t tr = emit t (Obs.Bus.State tr)
 
@@ -61,13 +61,13 @@ let observe_install t key ver =
   if Obs.Bus.monitoring t.obs then
     observe t
       (Obs.Monitor.Commit_install
-         { replica = mon_label t; key; ver = Version.to_pair ver })
+         { replica = t.mon_label; key; ver = Version.to_pair ver })
 
 (* Witness IR operation classes: Prepare/Finalize run as consensus
    operations, Commit/Abort as inconsistent ones. *)
 let observe_ir_op t op consensus =
   if Obs.Bus.monitoring t.obs then
-    observe t (Obs.Monitor.Ir_op { replica = mon_label t; op; consensus })
+    observe t (Obs.Monitor.Ir_op { replica = t.mon_label; op; consensus })
 let stats t = t.stats
 let prepared_count t = Hashtbl.length t.prepared
 let store_size t = Hashtbl.length t.store
@@ -173,7 +173,7 @@ let handle_prepare t ~src txn reads writes =
       if Obs.Bus.monitoring t.obs then
         observe t
           (Obs.Monitor.Record_count
-             { replica = mon_label t; count = Hashtbl.length t.prepared });
+             { replica = t.mon_label; count = Hashtbl.length t.prepared });
       Msg.V_commit
     end
     else Msg.V_abort
@@ -283,7 +283,7 @@ let handle_ro_read t ~src txn key seq snap =
     if Obs.Bus.monitoring t.obs then
       observe t
         (Obs.Monitor.Ro_serve
-           { replica = mon_label t; key; snap = (snap_ts, 0); wm = (0, min_int) });
+           { replica = t.mon_label; key; snap = (snap_ts, 0); wm = (0, min_int) });
     send t src (Msg.Ro_reply { txn; key; w_ver; value; seq; snap = snap_ts })
   in
   if snap < 0 then
@@ -406,7 +406,7 @@ let create_at ~node ~cfg ~engine ~net ~group ~index ~cores
     ?(obs = Obs.Bus.null ()) () =
   let t =
     {
-      cfg; engine; net; group; index; node;
+      cfg; engine; net; group; index; mon_label = Printf.sprintf "g%dr%d" group index; node;
       cpu = Cpu.create engine ~cores;
       obs;
       store = Hashtbl.create 1024;
@@ -477,7 +477,7 @@ let create ~cfg ~engine ~net ~group ~index ~region ~cores ?obs () =
 
 let state_view t =
   {
-    Obs.Monitor.v_replica = mon_label t;
+    Obs.Monitor.v_replica = t.mon_label;
     v_stopped = t.stopped;
     v_recovering = false;
     v_watermark =

@@ -21,6 +21,35 @@ let test_version_pp () =
   Alcotest.(check string) "normal" "v(3,7)"
     (Version.to_string (Version.make ~ts:3 ~id:7))
 
+(* [Version.hash] hashes the record itself; it must equal the hash of
+   the [(ts, id)] pair it replaced, so [Adya.Dsg]'s [Key_ver] buckets
+   (and every iteration order over them) stay as they were.  In native
+   code it must also allocate nothing. *)
+let test_version_hash () =
+  let r = Sim.Rng.create 23 in
+  let edges = [ min_int; -1; 0; 1; max_int ] in
+  let vers =
+    Version.zero
+    :: List.concat_map (fun ts -> List.map (fun id -> Version.make ~ts ~id) edges) edges
+    @ List.init 1000 (fun _ ->
+          Version.make ~ts:(Int64.to_int (Sim.Rng.int64 r))
+            ~id:(Int64.to_int (Sim.Rng.int64 r)))
+  in
+  List.iter
+    (fun (v : Version.t) ->
+      Alcotest.(check int) (Version.to_string v)
+        (Hashtbl.hash (v.ts, v.id)) (Version.hash v))
+    vers;
+  if Sys.backend_type = Sys.Native then begin
+    let v = Version.make ~ts:12345 ~id:6 and sink = ref 0 in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 10_000 do
+      sink := !sink + Version.hash (Sys.opaque_identity v)
+    done;
+    let w = Gc.minor_words () -. w0 in
+    Alcotest.(check bool) (Printf.sprintf "hash allocates %.0f words" w) true (w = 0.)
+  end
+
 let qcheck_version_total_order =
   let ver = QCheck.(pair small_int small_int) in
   QCheck.Test.make ~name:"version compare is a total order" ~count:500
@@ -116,6 +145,7 @@ let suites =
       [
         Alcotest.test_case "version ordering" `Quick test_version_ordering;
         Alcotest.test_case "version pp" `Quick test_version_pp;
+        Alcotest.test_case "version hash" `Quick test_version_hash;
         QCheck_alcotest.to_alcotest qcheck_version_total_order;
         Alcotest.test_case "dedup last wins" `Quick test_dedup_writes_last_wins;
         QCheck_alcotest.to_alcotest qcheck_dedup_writes_invariants;

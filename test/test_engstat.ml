@@ -18,11 +18,11 @@ let test_counters_exact () =
   ignore (Engine.schedule e ~kind:Engine.Delivery ~after:15 (note `D2));
   ignore (Engine.schedule e ~kind:Engine.Ticker ~after:25 (note `K1));
   Alcotest.(check int) "six live" 6 (Engine.pending e);
-  Engine.cancel t2;
+  Engine.cancel e t2;
   Alcotest.(check int) "five live after cancel" 5 (Engine.pending e);
   Alcotest.(check int) "six raw" 6 (Engine.raw_pending e);
   Engine.run e;
-  Engine.cancel d1;
+  Engine.cancel e d1;
   (* cancelling a fired event: no-op *)
   let es = Harness.Taps.engstat_of_engine e in
   let d = es.Obs.Engstat.es_det in
@@ -54,7 +54,7 @@ let test_heap_invariant () =
   let timers =
     List.init 20 (fun i -> Engine.schedule e ~after:(10 + i) (fun () -> ()))
   in
-  List.iteri (fun i t -> if i mod 3 = 0 then Engine.cancel t) timers;
+  List.iteri (fun i t -> if i mod 3 = 0 then Engine.cancel e t) timers;
   let check_conservation () =
     let h = Engine.heap_stats e in
     let undrained_ghosts = Engine.raw_pending e - Engine.pending e in

@@ -175,7 +175,7 @@ let test_engine_cancel () =
   let e = Engine.create () in
   let hit = ref false in
   let tm = Engine.schedule e ~after:5 (fun () -> hit := true) in
-  Engine.cancel tm;
+  Engine.cancel e tm;
   Engine.run e;
   Alcotest.(check bool) "not fired" false !hit
 
@@ -185,7 +185,7 @@ let test_engine_pending_counts_cancelled () =
   let _t2 = Engine.schedule e ~after:10 (fun () -> ()) in
   Alcotest.(check int) "two queued" 2 (Engine.pending e);
   Alcotest.(check int) "two raw" 2 (Engine.raw_pending e);
-  Engine.cancel t1;
+  Engine.cancel e t1;
   (* [pending] reports live events: the cancelled one drops out
      immediately even though its slot stays queued as a ghost until
      drained — [raw_pending] still sees it. *)
@@ -199,8 +199,8 @@ let test_engine_cancel_idempotent () =
   let e = Engine.create () in
   let hit = ref 0 in
   let t = Engine.schedule e ~after:5 (fun () -> incr hit) in
-  Engine.cancel t;
-  Engine.cancel t;
+  Engine.cancel e t;
+  Engine.cancel e t;
   Engine.run e;
   Alcotest.(check int) "double-cancel still cancelled" 0 !hit
 
@@ -211,11 +211,26 @@ let test_engine_cancel_after_fire () =
   Engine.run e;
   Alcotest.(check int) "fired" 1 !hit;
   (* Cancelling a fired timer must be a harmless no-op... *)
-  Engine.cancel t;
+  Engine.cancel e t;
   (* ...and must not disturb later events. *)
   ignore (Engine.schedule e ~after:5 (fun () -> incr hit));
   Engine.run e;
   Alcotest.(check int) "later event unaffected" 2 !hit
+
+(* A handle names one event, not a slot: once [t1] has fired, [t2]
+   reuses its heap slot (the only one freed), and cancelling the stale
+   [t1] must leave [t2] live. *)
+let test_engine_cancel_stale_handle () =
+  let e = Engine.create () in
+  let log = ref [] in
+  let t1 = Engine.schedule e ~after:5 (fun () -> log := 1 :: !log) in
+  Engine.run e;
+  let _t2 = Engine.schedule e ~after:5 (fun () -> log := 2 :: !log) in
+  Engine.cancel e t1;
+  Alcotest.(check int) "t2 still live" 1 (Engine.pending e);
+  Engine.run e;
+  Alcotest.(check (list int)) "both fired" [ 1; 2 ] (List.rev !log);
+  Alcotest.(check int) "no cancel counted" 0 (Engine.heap_stats e).Engine.hs_cancels
 
 let test_engine_cancel_interleaved () =
   (* Cancel every other one of a batch at the same instant; survivors
@@ -225,7 +240,7 @@ let test_engine_cancel_interleaved () =
   let timers =
     List.init 6 (fun i -> (i, Engine.schedule e ~after:9 (fun () -> log := i :: !log)))
   in
-  List.iter (fun (i, t) -> if i mod 2 = 1 then Engine.cancel t) timers;
+  List.iter (fun (i, t) -> if i mod 2 = 1 then Engine.cancel e t) timers;
   Engine.run e;
   Alcotest.(check (list int)) "even survivors in order" [ 0; 2; 4 ] (List.rev !log);
   Alcotest.(check int) "queue drained" 0 (Engine.pending e)
@@ -300,6 +315,36 @@ let qcheck_heap_sorted =
       in
       let out = drain [] in
       out = List.sort compare times)
+
+(* Random interleaved pushes and removals against a sorted-list model
+   of [(time, seq, value)]: every removal yields the model's minimum
+   with the value pushed under that key.  Up to 300 operations with
+   pushes twice as likely as removals grow the arrays mid-run, while
+   slots are being freed and reused. *)
+let qcheck_heap_model =
+  QCheck.Test.make ~name:"heap matches a sorted-list model" ~count:300
+    QCheck.(list_of_size Gen.(0 -- 300) (option ~ratio:0.67 (int_bound 50)))
+    (fun ops ->
+      let h = Heap.create () in
+      let model = ref [] and seq = ref 0 in
+      List.for_all
+        (function
+          | Some time ->
+            let v = Printf.sprintf "v%d" !seq in
+            Heap.push h ~time ~seq:!seq v;
+            model := List.merge compare !model [ (time, !seq, v) ];
+            incr seq;
+            Heap.length h = List.length !model
+          | None -> (
+            match !model with
+            | [] -> Heap.is_empty h && Heap.pop h = None
+            | (time, sq, v) :: rest ->
+              model := rest;
+              Heap.min_time h = time
+              && Heap.min_seq h = sq
+              && String.equal (Heap.remove_min h) v
+              && Heap.length h = List.length rest))
+        ops)
 
 let qcheck_engine_clock_monotone =
   QCheck.Test.make ~name:"engine clock monotone under random scheduling" ~count:100
@@ -436,6 +481,26 @@ let test_heap_push_remove_allocation_free () =
       (Printf.sprintf "push + remove_min: %.3f words/call" w) true (w < 0.01)
   end
 
+(* One [schedule] plus the [step] that fires it, with a thousand events
+   queued: the action goes into the heap's slab and the handle is an
+   int, so nothing is allocated beyond the caller's closure (here one
+   closure made once, outside the loop). *)
+let test_engine_schedule_step_allocation_free () =
+  if native then begin
+    let e = Engine.create () and r = Rng.create 8 in
+    let action () = () in
+    for _ = 1 to 1000 do
+      ignore (Engine.schedule e ~after:(Rng.int r 10_000) action)
+    done;
+    let w =
+      words_per_call ~n:100_000 (fun () ->
+          ignore (Engine.schedule e ~kind:Engine.Delivery ~after:(Rng.int r 10_000) action);
+          ignore (Engine.step e))
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "schedule + step: %.3f words/event" w) true (w < 0.01)
+  end
+
 (* Popped values must not stay reachable through vacated heap slots.
    40 pushes grow the arrays twice (16 -> 32 -> 64); after 39 pops only
    the value that first sized the arrays may survive a full major GC. *)
@@ -499,6 +564,7 @@ let suites =
           test_heap_push_remove_allocation_free;
         Alcotest.test_case "releases popped values" `Quick test_heap_releases_popped;
         QCheck_alcotest.to_alcotest qcheck_heap_sorted;
+        QCheck_alcotest.to_alcotest qcheck_heap_model;
       ] );
     ( "sim.engine",
       [
@@ -509,10 +575,13 @@ let suites =
           test_engine_pending_counts_cancelled;
         Alcotest.test_case "cancel idempotent" `Quick test_engine_cancel_idempotent;
         Alcotest.test_case "cancel after fire" `Quick test_engine_cancel_after_fire;
+        Alcotest.test_case "cancel stale handle" `Quick test_engine_cancel_stale_handle;
         Alcotest.test_case "cancel interleaved" `Quick test_engine_cancel_interleaved;
         Alcotest.test_case "run_until" `Quick test_engine_run_until;
         Alcotest.test_case "same-time fifo" `Quick test_engine_same_time_fifo;
         Alcotest.test_case "negative delay clamped" `Quick test_engine_negative_delay_clamped;
+        Alcotest.test_case "schedule + step allocation-free" `Quick
+          test_engine_schedule_step_allocation_free;
         QCheck_alcotest.to_alcotest qcheck_engine_clock_monotone;
       ] );
     ( "sim.clock",

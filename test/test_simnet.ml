@@ -383,11 +383,12 @@ let qcheck_cpu_conserves_work =
       && Cpu.completed cpu = List.length costs)
 
 (* Fault-free, observer-free fast path: one [send] plus its delivery
-   allocates only the engine's event record (header + 4 fields) and the
-   delivery closure (header, code pointer, closure info and 8 captured
-   values); the heap holds one entry, so its share is zero.  The FIFO
-   clocks, fault tables, observer events and delivery context must add
-   nothing.  Measured in native code only: bytecode boxes more. *)
+   allocates only the delivery closure (header, code pointer, closure
+   info and 7 captured values).  The engine stores it in its slab and
+   hands back an int handle; the heap holds one entry, so its share is
+   zero.  The FIFO clocks, fault tables, observer events and delivery
+   context must add nothing.  Measured in native code only: bytecode
+   boxes more. *)
 let test_net_send_allocation_budget () =
   if Sys.backend_type = Sys.Native then begin
     let e, net = mk_net ~jitter_us:20 () in
@@ -409,9 +410,37 @@ let test_net_send_allocation_budget () =
     done;
     let w = (Gc.minor_words () -. w0) /. float_of_int n in
     Alcotest.(check int) "all delivered" (n + 1000) !got;
-    let budget = 5. +. 11. in
+    let budget = 10. in
     Alcotest.(check bool)
       (Printf.sprintf "send + delivery: %.2f words/msg (budget %.0f)" w budget)
+      true (w <= budget +. 0.01)
+  end
+
+(* One [Cpu.submit] plus its completion on a single busy core, so every
+   job waits in the queue: the job record (header + 4 fields), its queue
+   cell (header + 2) and the completion closure (header, code pointer,
+   closure info, the recursive [start] and 3 captured values).  The
+   engine adds nothing.  The
+   submitted closure is made once, outside the loop.  Native code only. *)
+let test_cpu_submit_allocation_budget () =
+  if Sys.backend_type = Sys.Native then begin
+    let e = Sim.Engine.create () in
+    let cpu = Cpu.create e ~cores:1 in
+    let rec job () = Cpu.submit cpu ~cost:10 job in
+    job ();
+    job ();
+    for _ = 1 to 1000 do
+      ignore (Sim.Engine.step e)
+    done;
+    let n = 100_000 in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do
+      ignore (Sim.Engine.step e)
+    done;
+    let w = (Gc.minor_words () -. w0) /. float_of_int n in
+    let budget = 5. +. 3. +. 7. in
+    Alcotest.(check bool)
+      (Printf.sprintf "submit + completion: %.2f words/job (budget %.0f)" w budget)
       true (w <= budget +. 0.01)
   end
 
@@ -480,6 +509,8 @@ let suites =
         Alcotest.test_case "wan slower than lan" `Quick test_net_wan_slower_than_lan;
         Alcotest.test_case "send allocation budget" `Quick
           test_net_send_allocation_budget;
+        Alcotest.test_case "cpu submit allocation budget" `Quick
+          test_cpu_submit_allocation_budget;
         Alcotest.test_case "current_delivery" `Quick test_net_current_delivery;
         QCheck_alcotest.to_alcotest qcheck_net_fifo;
       ] );

@@ -17,19 +17,20 @@ let write_of_key ws key =
     (fun acc (w : write) -> if String.equal w.key key then Some w else acc)
     None ws
 
+(* Write sets hold a handful of keys, so scanning the list beats
+   building tables: each key stays at its first position, with the value
+   of its last write. *)
 let dedup_writes ws =
-  let seen = Hashtbl.create 8 in
-  List.iter
-    (fun w ->
-      (* Later writes shadow earlier ones. *)
-      Hashtbl.replace seen w.key w.w_val)
-    ws;
-  let emitted = Hashtbl.create 8 in
-  List.filter_map
-    (fun w ->
-      if Hashtbl.mem emitted w.key then None
-      else begin
-        Hashtbl.add emitted w.key ();
-        Some { w with w_val = Hashtbl.find seen w.key }
-      end)
-    ws
+  let rec go acc = function
+    | [] -> List.rev acc
+    | (w : write) :: rest ->
+      if List.exists (fun (x : write) -> String.equal x.key w.key) acc then go acc rest
+      else
+        let w =
+          match write_of_key rest w.key with
+          | Some last -> { w with w_val = last.w_val }
+          | None -> w
+        in
+        go (w :: acc) rest
+  in
+  go [] ws

@@ -262,7 +262,7 @@ let finish t txn outcome =
            { ver = Version.to_pair txn.ver; start_us = txn.t_start_us;
              abort = Outcome.reason outcome; reexecs = Some txn.reexec_count;
              work_us = txn.exec_us + txn.prep_us + txn.fin_us;
-             final_eid = txn.eid; span = true });
+             final_eid = txn.eid });
     (match t.on_finish with
      | Some f ->
        f

@@ -23,6 +23,20 @@ type exec_entry = {
   mutable write_set : Rwset.write_set;
 }
 
+(* What this replica holds for one undecided transaction, dropped at its
+   decide: the vrecords of the keys its Puts touched (by key, so that
+   retraction and its notifications follow the table's order), the
+   vrecords its Commit-voted prepares and its Gets registered state in
+   (order and duplicates do not matter: releasing is idempotent and
+   silent), and the prepares suspended on it. *)
+type pending = {
+  mutable written : (string, Mvstore.Vrecord.t) Hashtbl.t option;
+  mutable prepared : Mvstore.Vrecord.t list;
+  mutable read : Mvstore.Vrecord.t list;
+  mutable waiters : (unit -> unit) list;  (* newest first *)
+  mutable max_eid : int;  (* highest execution in the erecord *)
+}
+
 type recovery = {
   r_eid : int;
   r_view : int;
@@ -76,17 +90,7 @@ type t = {
   store : Mvstore.Vstore.t;
   erecord : (Version.t * int, exec_entry) Hashtbl.t;
   decision_log : (Version.t, [ `Commit | `Abort ]) Hashtbl.t;
-  (* Prepares suspended on undecided dependencies: dep version ->
-     thunks re-run when the dep's transaction-level decision lands. *)
-  waiting : (Version.t, (unit -> unit) list ref) Hashtbl.t;
-  (* Keys touched by each transaction's Puts at this replica, for
-     abort-time cleanup. *)
-  txn_keys : (Version.t, (string, unit) Hashtbl.t) Hashtbl.t;
-  (* Keys on which each transaction has prepared or uncommitted-read
-     state at this replica, so decisions clean up in O(own keys). *)
-  prepared_keys : (Version.t, (string, unit) Hashtbl.t) Hashtbl.t;
-  read_keys : (Version.t, (string, unit) Hashtbl.t) Hashtbl.t;
-  max_eid : (Version.t, int) Hashtbl.t;
+  pending : (Version.t, pending) Hashtbl.t;
   recovering : (Version.t, recovery) Hashtbl.t;
   pending_fin : (Version.t * int * int, pending_finalize) Hashtbl.t;
   mutable watermark : Version.t option;
@@ -163,8 +167,17 @@ let read_current t key =
     if Version.is_zero reply.r_ver && String.equal reply.r_val "" then None
     else Some reply.r_val
 
+let vrecord t key = Mvstore.Vstore.find_existing t.store key
 let erecord_size t = Hashtbl.length t.erecord
 let store_size t = Mvstore.Vstore.key_count t.store
+
+let pending_of t ver =
+  match Hashtbl.find_opt t.pending ver with
+  | Some p -> p
+  | None ->
+    let p = { written = None; prepared = []; read = []; waiters = []; max_eid = 0 } in
+    Hashtbl.replace t.pending ver p;
+    p
 
 let entry t ver eid =
   match Hashtbl.find_opt t.erecord (ver, eid) with
@@ -180,9 +193,11 @@ let entry t ver eid =
       observe t
         (Obs.Monitor.Record_count
            { replica = t.mon_label; count = Hashtbl.length t.erecord });
-    (match Hashtbl.find_opt t.max_eid ver with
-     | Some m when m >= eid -> ()
-     | Some _ | None -> Hashtbl.replace t.max_eid ver eid);
+    (* Only recovery of an undecided transaction reads [max_eid]. *)
+    if not (Hashtbl.mem t.decision_log ver) then begin
+      let p = pending_of t ver in
+      if eid > p.max_eid then p.max_eid <- eid
+    end;
     e
 
 (* A killed incarnation must go silent even for CPU jobs queued before
@@ -190,24 +205,6 @@ let entry t ver eid =
 let send t dst msg = if not t.stopped then Net.send t.net ~src:t.node ~dst msg
 
 let broadcast t msg = Array.iter (fun dst -> send t dst msg) t.peers
-
-let add_to_keyset table ver key =
-  let keys =
-    match Hashtbl.find_opt table ver with
-    | Some k -> k
-    | None ->
-      let k = Hashtbl.create 4 in
-      Hashtbl.replace table ver k;
-      k
-  in
-  Hashtbl.replace keys key ()
-
-let touch_key t ver key = add_to_keyset t.txn_keys ver key
-
-let iter_keyset table ver f =
-  match Hashtbl.find_opt table ver with
-  | None -> ()
-  | Some keys -> Hashtbl.iter (fun key () -> f key) keys
 
 (* --- Reads and writes ------------------------------------------------ *)
 
@@ -218,7 +215,8 @@ let handle_get t ~src ver key seq =
     else Mvstore.Vrecord.latest_committed_before vr ver
   in
   Mvstore.Vrecord.add_read vr ~reader:ver ~coord:src reply;
-  add_to_keyset t.read_keys ver key;
+  let p = pending_of t ver in
+  p.read <- vr :: p.read;
   if Obs.Bus.monitoring t.obs then
     observe t
       (Obs.Monitor.Read_serve
@@ -243,8 +241,14 @@ let notify_read t key (r : Mvstore.Vrecord.read) (reply : Mvstore.Vrecord.reply)
        { for_ver = r.reader; key; w_ver = reply.r_ver; value = reply.r_val; seq = None })
 
 let handle_put t ver key value =
-  touch_key t ver key;
   let vr = Mvstore.Vstore.find t.store key in
+  (let p = pending_of t ver in
+   match p.written with
+   | Some keys -> Hashtbl.replace keys key vr
+   | None ->
+     let keys = Hashtbl.create 4 in
+     Hashtbl.replace keys key vr;
+     p.written <- Some keys);
   let missed = Mvstore.Vrecord.add_write vr ~ver value in
   (* Under eager visibility (Morty), reads that missed the new write are
      notified immediately; otherwise misses surface only when the write
@@ -264,6 +268,8 @@ type verdict = {
   v_vote : Vote.t;
   v_missed : (string * Version.t * string) list;
   v_reason : Obs.Abort_reason.t option;
+  v_reads : Mvstore.Vrecord.t list;  (* one per read, in read-set order *)
+  v_writes : Mvstore.Vrecord.t list;  (* one per write, in write-set order *)
 }
 
 let worse a b =
@@ -344,27 +350,30 @@ let validate t ver (read_set : Rwset.read_set) (write_set : Rwset.write_set) =
           | None -> ())
     read_set;
   (* Check 3: dirty reads — every read must match a committed write
-     exactly (dependencies are committed by the time we validate). *)
-  List.iter
-    (fun (r : Rwset.read) ->
-      let vr = Mvstore.Vstore.find t.store r.key in
-      let committed_val = Mvstore.Vrecord.committed_value vr r.r_ver in
-      let ok =
-        match committed_val with
-        | Some v -> String.equal v r.r_val
-        | None -> Version.is_zero r.r_ver && String.equal r.r_val ""
-      in
-      if not ok then begin
-        vote := Vote.Abandon_final;
-        cause Obs.Abort_reason.Validation_fail;
-        blame t ver r.key ~conflict:true ~abort_key:true
-          (Some (r.r_ver, "validation-fail"))
-      end)
-    read_set;
+     exactly (dependencies are committed by the time we validate).  The
+     vrecords resolved here serve check 1 and the prepare. *)
+  let reads =
+    List.map
+      (fun (r : Rwset.read) ->
+        let vr = Mvstore.Vstore.find t.store r.key in
+        let committed_val = Mvstore.Vrecord.committed_value vr r.r_ver in
+        let ok =
+          match committed_val with
+          | Some v -> String.equal v r.r_val
+          | None -> Version.is_zero r.r_ver && String.equal r.r_val ""
+        in
+        if not ok then begin
+          vote := Vote.Abandon_final;
+          cause Obs.Abort_reason.Validation_fail;
+          blame t ver r.key ~conflict:true ~abort_key:true
+            (Some (r.r_ver, "validation-fail"))
+        end;
+        vr)
+      read_set
+  in
   (* Check 1: did our reads miss any writes? *)
-  List.iter
-    (fun (r : Rwset.read) ->
-      let vr = Mvstore.Vstore.find t.store r.key in
+  List.iter2
+    (fun (r : Rwset.read) vr ->
       match Mvstore.Vrecord.write_missed_by_read vr ~reader:ver ~r_ver:r.r_ver with
       | Mvstore.Vrecord.No_miss -> ()
       | Mvstore.Vrecord.Missed_committed m ->
@@ -379,29 +388,67 @@ let validate t ver (read_set : Rwset.read_set) (write_set : Rwset.write_set) =
         blame t ver r.key ~conflict:true ~abort_key:false
           (Some (m.r_ver, "missed-write"));
         missed := (r.key, m.r_ver, m.r_val) :: !missed)
-    read_set;
+    read_set reads;
   (* Check 2: did other transactions' validated reads miss our writes? *)
-  List.iter
-    (fun (w : Rwset.write) ->
-      let vr = Mvstore.Vstore.find t.store w.key in
-      if Mvstore.Vrecord.committed_read_missing_write vr ~w_ver:ver then begin
-        vote := worse !vote Vote.Abandon_final;
-        cause Obs.Abort_reason.Missed_write;
-        blame t ver w.key ~conflict:true ~abort_key:true
-          (Some (Version.zero, "missed-write"))
-      end
-      else if Mvstore.Vrecord.prepared_read_missing_write vr ~w_ver:ver then begin
-        vote := worse !vote Vote.Abandon_tentative;
-        cause Obs.Abort_reason.Missed_write;
-        blame t ver w.key ~conflict:true ~abort_key:false None
-      end)
-    write_set;
-  { v_vote = !vote; v_missed = !missed; v_reason = !reason }
+  let writes =
+    List.map
+      (fun (w : Rwset.write) ->
+        let vr = Mvstore.Vstore.find t.store w.key in
+        if Mvstore.Vrecord.committed_read_missing_write vr ~w_ver:ver then begin
+          vote := worse !vote Vote.Abandon_final;
+          cause Obs.Abort_reason.Missed_write;
+          blame t ver w.key ~conflict:true ~abort_key:true
+            (Some (Version.zero, "missed-write"))
+        end
+        else if Mvstore.Vrecord.prepared_read_missing_write vr ~w_ver:ver then begin
+          vote := worse !vote Vote.Abandon_tentative;
+          cause Obs.Abort_reason.Missed_write;
+          blame t ver w.key ~conflict:true ~abort_key:false None
+        end;
+        vr)
+      write_set
+  in
+  { v_vote = !vote; v_missed = !missed; v_reason = !reason; v_reads = reads;
+    v_writes = writes }
 
 let record_vote_stat t = function
   | Vote.Commit -> t.stats.commit_votes <- t.stats.commit_votes + 1
   | Vote.Abandon_tentative -> t.stats.tentative_votes <- t.stats.tentative_votes + 1
   | Vote.Abandon_final -> t.stats.final_votes <- t.stats.final_votes + 1
+
+(* Remove [ver]'s pending record: its decide releases it once. *)
+let take_pending t ver =
+  match Hashtbl.find_opt t.pending ver with
+  | None -> None
+  | Some p ->
+    Hashtbl.remove t.pending ver;
+    Some p
+
+(* Drop the decided transaction's prepared state (of every execution)
+   and its uncommitted reads, then re-run the prepares suspended on it. *)
+let release ver = function
+  | None -> ()
+  | Some p ->
+    List.iter (fun vr -> Mvstore.Vrecord.unprepare_all vr ~ver) p.prepared;
+    List.iter (fun vr -> Mvstore.Vrecord.remove_read vr ver) p.read;
+    List.iter (fun f -> f ()) (List.rev p.waiters)
+
+(* Retract [ver]'s uncommitted write on each key its Puts touched for
+   which [keep] is false, and correct the reads that observed it. *)
+let retract_writes t ver p ~keep =
+  match p with
+  | Some { written = Some keys; _ } ->
+    Hashtbl.iter
+      (fun key vr ->
+        if not (keep key) then begin
+          Mvstore.Vrecord.abort_writes vr ~ver;
+          List.iter
+            (fun (r : Mvstore.Vrecord.read) ->
+              notify_read t key r (Mvstore.Vrecord.latest_before vr r.reader))
+            (Mvstore.Vrecord.reads_observing vr ver)
+        end)
+      keys
+  | Some { written = None; _ } | None -> ()
 
 let rec process_prepare t ~src ver eid (read_set : Rwset.read_set) write_set =
   let e = entry t ver eid in
@@ -462,20 +509,17 @@ let rec process_prepare t ~src ver eid (read_set : Rwset.read_set) write_set =
          (match undecided with
           | [] ->
             e.suspended <- false;
-            let { v_vote; v_missed; v_reason } = validate t ver read_set write_set in
+            let { v_vote; v_missed; v_reason; v_reads; v_writes } =
+              validate t ver read_set write_set
+            in
             if Vote.equal v_vote Vote.Commit then begin
-              List.iter
-                (fun (r : Rwset.read) ->
-                  let vr = Mvstore.Vstore.find t.store r.key in
-                  add_to_keyset t.prepared_keys ver r.key;
+              List.iter2
+                (fun (r : Rwset.read) vr ->
                   Mvstore.Vrecord.prepare_read vr ~reader:ver ~eid ~r_ver:r.r_ver)
-                read_set;
-              List.iter
-                (fun (w : Rwset.write) ->
-                  let vr = Mvstore.Vstore.find t.store w.key in
-                  add_to_keyset t.prepared_keys ver w.key;
-                  Mvstore.Vrecord.prepare_write vr ~ver ~eid)
-                write_set
+                read_set v_reads;
+              List.iter (fun vr -> Mvstore.Vrecord.prepare_write vr ~ver ~eid) v_writes;
+              let p = pending_of t ver in
+              p.prepared <- List.rev_append v_reads (List.rev_append v_writes p.prepared)
             end;
             e.vote <- Some v_vote;
             e.vote_reason <- v_reason;
@@ -490,19 +534,12 @@ let rec process_prepare t ~src ver eid (read_set : Rwset.read_set) write_set =
             e.suspended <- true;
             blame t ver dep.key ~conflict:true ~abort_key:false None;
             let dep_ver = dep.r_ver in
-            let thunks =
-              match Hashtbl.find_opt t.waiting dep_ver with
-              | Some l -> l
-              | None ->
-                let l = ref [] in
-                Hashtbl.replace t.waiting dep_ver l;
-                l
-            in
-            thunks :=
+            let p = pending_of t dep_ver in
+            p.waiters <-
               (fun () ->
                 e.suspended <- false;
                 process_prepare t ~src ver eid read_set write_set)
-              :: !thunks;
+              :: p.waiters;
             (* If the dependency's coordinator died, recover it. *)
             ignore
               (Engine.schedule t.engine ~after:t.cfg.dep_recovery_timeout_us (fun () ->
@@ -512,15 +549,9 @@ let rec process_prepare t ~src ver eid (read_set : Rwset.read_set) write_set =
 
 (* --- Decide ----------------------------------------------------------- *)
 
-and wake_waiters t ver =
-  match Hashtbl.find_opt t.waiting ver with
-  | None -> ()
-  | Some thunks ->
-    Hashtbl.remove t.waiting ver;
-    List.iter (fun f -> f ()) (List.rev !thunks)
-
-and apply_commit t ver eid (read_set : Rwset.read_set) (write_set : Rwset.write_set) =
+and apply_commit t ver (read_set : Rwset.read_set) (write_set : Rwset.write_set) =
   Hashtbl.replace t.decision_log ver `Commit;
+  let p = take_pending t ver in
   (* Install committed writes; correct readers that observed a value this
      transaction did not end up committing. *)
   List.iter
@@ -542,82 +573,30 @@ and apply_commit t ver eid (read_set : Rwset.read_set) (write_set : Rwset.write_
           (Mvstore.Vrecord.reads_missing_version vr ~ver w.w_val))
     write_set;
   (* Writes from abandoned executions on keys the committed execution did
-     not write: retract them and refresh observers. *)
-  (match Hashtbl.find_opt t.txn_keys ver with
-   | None -> ()
-   | Some keys ->
-     Hashtbl.iter
-       (fun key () ->
-         if Rwset.write_of_key write_set key = None then begin
-           match Mvstore.Vstore.find_existing t.store key with
-           | None -> ()
-           | Some vr ->
-             Mvstore.Vrecord.abort_writes vr ~ver;
-             List.iter
-               (fun (r : Mvstore.Vrecord.read) ->
-                 notify_read t key r (Mvstore.Vrecord.latest_before vr r.reader))
-               (Mvstore.Vrecord.reads_observing vr ver)
-         end)
-       keys;
-     Hashtbl.remove t.txn_keys ver);
+     not write. *)
+  retract_writes t ver p ~keep:(fun key ->
+      Option.is_some (Rwset.write_of_key write_set key));
   List.iter
     (fun (r : Rwset.read) ->
       let vr = Mvstore.Vstore.find t.store r.key in
       Mvstore.Vrecord.commit_read vr ~reader:ver ~r_ver:r.r_ver)
     read_set;
-  (* Drop prepared state of other executions of this transaction. *)
-  iter_keyset t.prepared_keys ver (fun key ->
-      match Mvstore.Vstore.find_existing t.store key with
-      | None -> ()
-      | Some vr -> Mvstore.Vrecord.unprepare_all vr ~ver);
-  Hashtbl.remove t.prepared_keys ver;
-  (* The transaction is decided: its uncommitted reads are obsolete. *)
-  iter_keyset t.read_keys ver (fun key ->
-      match Mvstore.Vstore.find_existing t.store key with
-      | None -> ()
-      | Some vr -> Mvstore.Vrecord.remove_read vr ver);
-  Hashtbl.remove t.read_keys ver;
-  ignore eid;
-  wake_waiters t ver
+  release ver p
 
 and apply_abort t ver =
   Hashtbl.replace t.decision_log ver `Abort;
-  (match Hashtbl.find_opt t.txn_keys ver with
-   | None -> ()
-   | Some keys ->
-     Hashtbl.iter
-       (fun key () ->
-         match Mvstore.Vstore.find_existing t.store key with
-         | None -> ()
-         | Some vr ->
-           Mvstore.Vrecord.abort_writes vr ~ver;
-           (* §4.2 Decide: generate new GetReplies for all reads that
-              observed the aborted transaction's writes. *)
-           List.iter
-             (fun (r : Mvstore.Vrecord.read) ->
-               notify_read t key r (Mvstore.Vrecord.latest_before vr r.reader))
-             (Mvstore.Vrecord.reads_observing vr ver))
-       keys;
-     Hashtbl.remove t.txn_keys ver);
-  iter_keyset t.prepared_keys ver (fun key ->
-      match Mvstore.Vstore.find_existing t.store key with
-      | None -> ()
-      | Some vr -> Mvstore.Vrecord.unprepare_all vr ~ver);
-  Hashtbl.remove t.prepared_keys ver;
-  iter_keyset t.read_keys ver (fun key ->
-      match Mvstore.Vstore.find_existing t.store key with
-      | None -> ()
-      | Some vr -> Mvstore.Vrecord.remove_read vr ver);
-  Hashtbl.remove t.read_keys ver;
-  wake_waiters t ver
+  let p = take_pending t ver in
+  (* §4.2 Decide: generate new GetReplies for all reads that observed the
+     aborted transaction's writes. *)
+  retract_writes t ver p ~keep:(fun _ -> false);
+  release ver p
 
 and apply_abandon t ver eid =
   (* Abandon one execution: unprepare it, keep reads/writes (later
      executions of the transaction continue). *)
-  iter_keyset t.prepared_keys ver (fun key ->
-      match Mvstore.Vstore.find_existing t.store key with
-      | None -> ()
-      | Some vr -> Mvstore.Vrecord.unprepare vr ~ver ~eid)
+  match Hashtbl.find_opt t.pending ver with
+  | None -> ()
+  | Some p -> List.iter (fun vr -> Mvstore.Vrecord.unprepare vr ~ver ~eid) p.prepared
 
 and handle_decide t ver eid decision abort read_set write_set =
   let e = entry t ver eid in
@@ -628,7 +607,7 @@ and handle_decide t ver eid decision abort read_set write_set =
      (match decision with
       | Decision.Commit ->
         if not (Hashtbl.mem t.decision_log ver) then
-          apply_commit t ver eid read_set write_set
+          apply_commit t ver read_set write_set
       | Decision.Abandon ->
         apply_abandon t ver eid;
         if abort && not (Hashtbl.mem t.decision_log ver) then apply_abort t ver))
@@ -654,7 +633,7 @@ and handle_finalize t ~src ver eid view decision =
 and start_recovery t ver =
   if Hashtbl.mem t.recovering ver || Hashtbl.mem t.decision_log ver then ()
   else begin
-    let eid = match Hashtbl.find_opt t.max_eid ver with Some e -> e | None -> 0 in
+    let eid = match Hashtbl.find_opt t.pending ver with Some p -> p.max_eid | None -> 0 in
     let cur_view =
       match Hashtbl.find_opt t.erecord (ver, eid) with Some e -> e.view | None -> 0
     in
@@ -1324,11 +1303,7 @@ let create_at ~node ~cfg ~engine ~net ~rng ~index ~cores
       store = Mvstore.Vstore.create ();
       erecord = Hashtbl.create 4096;
       decision_log = Hashtbl.create 4096;
-      waiting = Hashtbl.create 256;
-      txn_keys = Hashtbl.create 4096;
-      prepared_keys = Hashtbl.create 4096;
-      read_keys = Hashtbl.create 4096;
-      max_eid = Hashtbl.create 4096;
+      pending = Hashtbl.create 256;
       recovering = Hashtbl.create 16;
       pending_fin = Hashtbl.create 16;
       watermark = None;
@@ -1401,6 +1376,9 @@ let state_view t =
         ("truncations", t.stats.truncations);
         ("catchups", t.stats.catchups);
         ("decisions", Hashtbl.length t.decision_log);
-        ("suspended", Hashtbl.length t.waiting);
+        ( "suspended",
+          Hashtbl.fold
+            (fun _ p n -> match p.waiters with [] -> n | _ :: _ -> n + 1)
+            t.pending 0 );
       ];
   }

@@ -95,6 +95,9 @@ val committed_value_at : t -> string -> Cc_types.Version.t -> string option
 val read_current : t -> string -> string option
 (** Latest committed value of a key (tests and examples). *)
 
+val vrecord : t -> string -> Mvstore.Vrecord.t option
+(** A key's version record, if the store has one (tests). *)
+
 val erecord_size : t -> int
 (** Number of live erecord entries (GC tests). *)
 

@@ -18,7 +18,7 @@ type event =
   | Decide of { ver : ver; eid : int; decision : string }
   | Finish of {
       ver : ver; start_us : int; abort : Abort_reason.t option;
-      reexecs : int option; work_us : int; final_eid : int; span : bool;
+      reexecs : int option; work_us : int; final_eid : int;
     }
   | Blame of {
       ver : ver; key : string; conflict : bool; abort_key : bool;
@@ -107,17 +107,16 @@ let trace t ~ts ~pid = function
   | Decide { ver; eid; decision } ->
     instant t ~name:"decide" ~ts ~pid
       [ ver_arg ver; ("eid", Sink.I eid); ("decision", Sink.S decision) ]
-  | Finish { ver; start_us; abort; reexecs; span = whole; _ } ->
+  | Finish { ver; start_us; abort; reexecs; _ } ->
     (match abort with
     | None -> instant t ~name:"commit" ~ts ~pid [ ver_arg ver ]
     | Some r ->
       instant t ~name:"abort" ~ts ~pid
         [ ver_arg ver; ("reason", Sink.S (Abort_reason.to_string r)) ]);
-    if whole then
-      span t ~name:"txn" ~cat:"txn" ~ts:start_us ~dur:(ts - start_us) ~pid
-        (ver_arg ver
-        :: ("outcome", Sink.S (outcome_string abort))
-        :: (match reexecs with Some n -> [ ("reexecs", Sink.I n) ] | None -> []))
+    span t ~name:"txn" ~cat:"txn" ~ts:start_us ~dur:(ts - start_us) ~pid
+      (ver_arg ver
+      :: ("outcome", Sink.S (outcome_string abort))
+      :: (match reexecs with Some n -> [ ("reexecs", Sink.I n) ] | None -> []))
   | Blame _ | Busy _ | Kill _ | State _ -> ()
 
 (* --- Dispatch ---------------------------------------------------------------- *)

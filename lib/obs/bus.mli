@@ -43,7 +43,6 @@ type event =
       reexecs : int option;  (** on stacks that re-execute *)
       work_us : int;
       final_eid : int;
-      span : bool;  (** [false]: no [txn] span (a TAPIR or Spanner user abort) *)
     }
   | Blame of {
       ver : ver;

@@ -132,15 +132,14 @@ let profile_arrival t =
 let emit t ev = Obs.Bus.emit t.obs ~ts:(Engine.now t.engine) ~pid:t.node ev
 
 (* Observers key a transaction by its begin version — the id replicas
-   see on lock/prepare traffic — not its commit version.  [span:false]
-   is a user abort, which records no [txn] span. *)
-let emit_finish t txn ~abort ~span =
+   see on lock/prepare traffic — not its commit version. *)
+let emit_finish t txn ~abort =
   if Obs.Bus.on t.obs then
     emit t
       (Obs.Bus.Finish
          { ver = Version.to_pair txn.id; start_us = txn.t_start_us; abort;
            reexecs = None; work_us = txn.exec_us + txn.prep_us + txn.fin_us;
-           final_eid = 0; span })
+           final_eid = 0 })
 
 let emit_begin t txn ~ro =
   if Obs.Bus.on t.obs then
@@ -192,7 +191,7 @@ let finish t txn ~ver outcome =
     (match outcome with
      | Outcome.Committed -> t.stats.committed <- t.stats.committed + 1
      | Outcome.Aborted _ -> t.stats.aborted <- t.stats.aborted + 1);
-    emit_finish t txn ~abort:(Outcome.reason outcome) ~span:true;
+    emit_finish t txn ~abort:(Outcome.reason outcome);
     (match t.on_finish with
      | Some f ->
        f
@@ -590,10 +589,11 @@ let abort t ctx =
       profile_wait t None;
       t.c_cur <- None
     | Some _ | None -> ());
+    switch_segment t txn txn.seg;
     Hashtbl.remove t.txns txn.id;
     if txn.ro then Hashtbl.remove t.ro_txns txn.ro_id;
     t.stats.aborted <- t.stats.aborted + 1;
-    emit_finish t txn ~abort:(Some Obs.Abort_reason.User_abort) ~span:false;
+    emit_finish t txn ~abort:(Some Obs.Abort_reason.User_abort);
     (* Release any locks acquired during execution. *)
     if not txn.ro then
       List.iter

@@ -128,14 +128,13 @@ let profile_arrival t =
 
 let emit t ev = Obs.Bus.emit t.obs ~ts:(Engine.now t.engine) ~pid:t.node ev
 
-(* [span:false] is a user abort, which records no [txn] span. *)
-let emit_finish t txn ~abort ~span =
+let emit_finish t txn ~abort =
   if Obs.Bus.on t.obs then
     emit t
       (Obs.Bus.Finish
          { ver = Version.to_pair txn.id; start_us = txn.t_start_us; abort;
            reexecs = None; work_us = txn.exec_us + txn.prep_us + txn.fin_us;
-           final_eid = 0; span })
+           final_eid = 0 })
 
 (* Close the open phase segment, credit its duration, emit its span, and
    open [next]. *)
@@ -182,7 +181,7 @@ let finish t txn outcome =
     (match outcome with
      | Outcome.Committed -> t.stats.committed <- t.stats.committed + 1
      | Outcome.Aborted _ -> t.stats.aborted <- t.stats.aborted + 1);
-    emit_finish t txn ~abort:(Outcome.reason outcome) ~span:true;
+    emit_finish t txn ~abort:(Outcome.reason outcome);
     (match t.on_finish with
      | Some f ->
        f
@@ -575,9 +574,10 @@ let abort t ctx =
       profile_wait t None;
       t.c_cur <- None
     | Some _ | None -> ());
+    switch_segment t txn txn.seg;
     Hashtbl.remove t.txns txn.id;
     t.stats.aborted <- t.stats.aborted + 1;
-    emit_finish t txn ~abort:(Some Obs.Abort_reason.User_abort) ~span:false;
+    emit_finish t txn ~abort:(Some Obs.Abort_reason.User_abort);
     (* Nothing is prepared yet, but replicas may hold read registrations;
        an Abort message is harmless and frees any prepared state from a
        duplicate path.  Follower reads leave no replica state at all. *)

@@ -24,7 +24,7 @@ let is_read_only = function
   | Load_timeline -> true
   | Add_user | Follow | Post_tweet -> false
 
-let key i = Printf.sprintf "key:%d" i
+let key i = "key:" ^ string_of_int i
 
 let initial_data conf = List.init conf.n_keys (fun i -> (key i, "0"))
 

@@ -37,9 +37,9 @@ let is_read_only = function
   | Deposit_checking | Transact_savings | Amalgamate | Write_check | Send_payment ->
     false
 
-let checking_key c = Printf.sprintf "chk:%d" c
+let checking_key c = "chk:" ^ string_of_int c
 
-let savings_key c = Printf.sprintf "sav:%d" c
+let savings_key c = "sav:" ^ string_of_int c
 
 let initial_data conf =
   List.concat_map

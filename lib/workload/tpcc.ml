@@ -55,18 +55,24 @@ let last_name n =
 
 (* --- Keys --------------------------------------------------------------- *)
 
-let k_warehouse w = Printf.sprintf "w:%d" w
-let k_district w d = Printf.sprintf "d:%d:%d" w d
-let k_customer w d c = Printf.sprintf "c:%d:%d:%d" w d c
-let k_item i = Printf.sprintf "i:%d" i
-let k_stock w i = Printf.sprintf "s:%d:%d" w i
-let k_order w d o = Printf.sprintf "o:%d:%d:%d" w d o
-let k_new_order w d o = Printf.sprintf "no:%d:%d:%d" w d o
-let k_order_line w d o n = Printf.sprintf "ol:%d:%d:%d:%d" w d o n
-let k_history w d c uniq = Printf.sprintf "h:%d:%d:%d:%d" w d c uniq
-let k_idx_cust_order w d c = Printf.sprintf "idxco:%d:%d:%d" w d c
-let k_deliv_lo w d = Printf.sprintf "dlo:%d:%d" w d
-let k_idx_last_name w d last = Printf.sprintf "idxlast:%d:%d:%s" w d last
+(* [prefix:a:b:...] built with [^]: keys are made on every operation. *)
+let k1 p a = p ^ string_of_int a
+let k2 p a b = k1 p a ^ ":" ^ string_of_int b
+let k3 p a b c = k2 p a b ^ ":" ^ string_of_int c
+let k4 p a b c d = k3 p a b c ^ ":" ^ string_of_int d
+
+let k_warehouse w = k1 "w:" w
+let k_district w d = k2 "d:" w d
+let k_customer w d c = k3 "c:" w d c
+let k_item i = k1 "i:" i
+let k_stock w i = k2 "s:" w i
+let k_order w d o = k3 "o:" w d o
+let k_new_order w d o = k3 "no:" w d o
+let k_order_line w d o n = k4 "ol:" w d o n
+let k_history w d c uniq = k4 "h:" w d c uniq
+let k_idx_cust_order w d c = k3 "idxco:" w d c
+let k_deliv_lo w d = k2 "dlo:" w d
+let k_idx_last_name w d last = k2 "idxlast:" w d ^ ":" ^ last
 
 (* Row layouts (field indices). *)
 let w_ytd = 1 (* [name; ytd] *)

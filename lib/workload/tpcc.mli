@@ -45,6 +45,24 @@ val partition_of_key : home_group:int -> n_groups:int -> string -> int
     replicated by mapping it to the client's home group (as the paper
     does). *)
 
+(** {1 Row keys}
+
+    One key per row, [prefix:id:...]; {!partition_of_key} reads the
+    warehouse id back out of them. *)
+
+val k_warehouse : int -> string
+val k_district : int -> int -> string
+val k_customer : int -> int -> int -> string
+val k_item : int -> string
+val k_stock : int -> int -> string
+val k_order : int -> int -> int -> string
+val k_new_order : int -> int -> int -> string
+val k_order_line : int -> int -> int -> int -> string
+val k_history : int -> int -> int -> int -> string
+val k_idx_cust_order : int -> int -> int -> string
+val k_deliv_lo : int -> int -> string
+val k_idx_last_name : int -> int -> string -> string
+
 (** The workload instantiated over any of the four systems. *)
 module Make (C : Cc_types.Kv_api.S) : sig
   val run :

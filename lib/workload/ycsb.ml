@@ -10,7 +10,7 @@ let workload_c = { default_conf with read_pct = 100 }
 
 let workload_f = { default_conf with read_pct = 0 }
 
-let key i = Printf.sprintf "y:%d" i
+let key i = "y:" ^ string_of_int i
 
 let initial_data conf = List.init conf.n_keys (fun i -> (key i, "0"))
 
@@ -22,12 +22,13 @@ module Make (C : Cc_types.Kv_api.S) = struct
   type op = Read of string | Update of string
 
   let plan conf rng zipf =
-    let seen = Hashtbl.create 8 in
+    (* At most [ops_per_txn] ids: a list beats a table. *)
+    let seen = ref [] in
     let rec fresh_key guard =
       let i = Sim.Dist.zipf_sample zipf rng in
-      if Hashtbl.mem seen i && guard > 0 then fresh_key (guard - 1)
+      if List.mem i !seen && guard > 0 then fresh_key (guard - 1)
       else begin
-        Hashtbl.replace seen i ();
+        seen := i :: !seen;
         key i
       end
     in

@@ -101,6 +101,35 @@ let qcheck_dedup_writes_invariants =
              | None -> false)
            deduped)
 
+(* The two-table [dedup_writes] that the list scan replaced, kept as the
+   oracle: later writes shadow earlier ones, first positions are kept. *)
+let dedup_writes_two_tables (ws : Rwset.write_set) =
+  let seen = Hashtbl.create 8 in
+  List.iter (fun (w : Rwset.write) -> Hashtbl.replace seen w.key w.w_val) ws;
+  let emitted = Hashtbl.create 8 in
+  List.filter_map
+    (fun (w : Rwset.write) ->
+      if Hashtbl.mem emitted w.key then None
+      else begin
+        Hashtbl.add emitted w.key ();
+        Some { w with w_val = Hashtbl.find seen w.key }
+      end)
+    ws
+
+let qcheck_dedup_writes_matches_two_tables =
+  let writes =
+    QCheck.(list_of_size Gen.(0 -- 40) (pair (int_bound 12) small_nat))
+  in
+  QCheck.Test.make ~name:"dedup_writes equals the two-table version" ~count:1000
+    writes
+    (fun pairs ->
+      let ws =
+        List.map
+          (fun (k, v) -> { Rwset.key = "k" ^ string_of_int k; w_val = string_of_int v })
+          pairs
+      in
+      Rwset.dedup_writes ws = dedup_writes_two_tables ws)
+
 let test_read_of_key () =
   let r k v = { Rwset.key = k; r_ver = Version.zero; r_val = v } in
   let rs = [ r "a" "1"; r "b" "2" ] in
@@ -149,6 +178,7 @@ let suites =
         QCheck_alcotest.to_alcotest qcheck_version_total_order;
         Alcotest.test_case "dedup last wins" `Quick test_dedup_writes_last_wins;
         QCheck_alcotest.to_alcotest qcheck_dedup_writes_invariants;
+        QCheck_alcotest.to_alcotest qcheck_dedup_writes_matches_two_tables;
         Alcotest.test_case "read_of_key" `Quick test_read_of_key;
         Alcotest.test_case "outcome" `Quick test_outcome;
       ] );

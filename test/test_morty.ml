@@ -341,6 +341,141 @@ let test_client_abort () =
   Alcotest.(check (option string)) "write not installed" (Some "3")
     (replica_value c "x")
 
+(* ---- Decide cleanup ---- *)
+
+(* One replica driven message by message from a bare client node, so a
+   test can stop between any two protocol steps.  Runs stay far below
+   [dep_recovery_timeout_us], so no recovery starts on its own. *)
+type bare = {
+  b_engine : Sim.Engine.t;
+  b_net : Morty.Msg.t Simnet.Net.t;
+  b_replica : Morty.Replica.t;
+  b_client : Simnet.Net.node;
+}
+
+let make_bare () =
+  let engine = Sim.Engine.create () in
+  let rng = Sim.Rng.create 5 in
+  let net = Simnet.Net.create engine (Sim.Rng.split rng) ~setup:Simnet.Latency.Reg () in
+  let replica =
+    Morty.Replica.create ~cfg:Morty.Config.default ~engine ~net ~rng:(Sim.Rng.split rng)
+      ~index:0 ~region:(Simnet.Latency.Az 0) ~cores:1 ()
+  in
+  Morty.Replica.set_peers replica [| Morty.Replica.node replica |];
+  Morty.Replica.load replica [ ("a", "0"); ("b", "0"); ("c", "0") ];
+  let client = Simnet.Net.add_node net ~region:(Simnet.Latency.Az 0) in
+  Simnet.Net.set_handler net client (fun ~src:_ _ -> ());
+  { b_engine = engine; b_net = net; b_replica = replica; b_client = client }
+
+(* Deliver [msgs] in order and let the replica serve them. *)
+let deliver b msgs =
+  List.iter
+    (fun m ->
+      Simnet.Net.send b.b_net ~src:b.b_client ~dst:(Morty.Replica.node b.b_replica) m;
+      Sim.Engine.run_until b.b_engine ~limit:(Sim.Engine.now b.b_engine + 20_000))
+    msgs
+
+(* (uncommitted reads, prepared entries) held in [key]'s vrecord. *)
+let held b key =
+  match Morty.Replica.vrecord b.b_replica key with
+  | None -> (0, 0)
+  | Some vr ->
+    let reads, _, prepared, _ = Mvstore.Vrecord.stats vr in
+    (reads, prepared)
+
+let check_held b key what expect =
+  Alcotest.(check (pair int int)) (key ^ ": (reads, prepared) " ^ what) expect
+    (held b key)
+
+let suspended b =
+  List.assoc "suspended" (Morty.Replica.state_view b.b_replica).Obs.Monitor.v_counters
+
+let v1 = Version.make ~ts:100 ~id:1
+let v2 = Version.make ~ts:200 ~id:2
+let rd key r_ver r_val = { Cc_types.Rwset.key; r_ver; r_val }
+let wr key w_val = { Cc_types.Rwset.key; w_val }
+
+(* Transaction [v1] reads a and c and writes b, then re-executes
+   reading only a: a second Get and Put of the same keys, so its pending
+   record holds those vrecords twice.  The Get of c never reached this
+   replica, so only the prepare knows c.  With [abandon_lost] the first
+   execution's Abandon never arrives either, and its prepared state lives
+   until the transaction's decide. *)
+let reexecuted b ~abandon_lost =
+  let rs0 = [ rd "a" Version.zero "0"; rd "c" Version.zero "0" ] in
+  deliver b
+    [ Morty.Msg.Get { ver = v1; key = "a"; seq = 0; eid = 0 };
+      Put { ver = v1; key = "b"; value = "1"; eid = 0 };
+      Prepare { ver = v1; eid = 0; read_set = rs0; write_set = [ wr "b" "1" ] } ];
+  check_held b "a" "after prepare" (1, 1);
+  check_held b "b" "after prepare" (0, 1);
+  check_held b "c" "after prepare" (0, 1);
+  if not abandon_lost then begin
+    deliver b
+      [ Morty.Msg.Decide
+          { ver = v1; eid = 0; decision = Morty.Decision.Abandon; abort = false;
+            read_set = rs0; write_set = [ wr "b" "1" ] } ];
+    check_held b "a" "after abandon: read kept, prepare dropped" (1, 0);
+    check_held b "b" "after abandon" (0, 0);
+    check_held b "c" "after abandon" (0, 0)
+  end;
+  let rs = [ rd "a" Version.zero "0" ] in
+  deliver b
+    [ Morty.Msg.Get { ver = v1; key = "a"; seq = 1; eid = 1 };
+      Put { ver = v1; key = "b"; value = "2"; eid = 1 };
+      Prepare { ver = v1; eid = 1; read_set = rs; write_set = [ wr "b" "2" ] } ];
+  check_held b "a" "after re-prepare" (1, 1);
+  check_held b "b" "after re-prepare" (0, 1);
+  rs
+
+let test_decide_releases_reexecuted ~commit ~abandon_lost () =
+  let b = make_bare () in
+  let rs = reexecuted b ~abandon_lost in
+  deliver b
+    [ Morty.Msg.Decide
+        { ver = v1; eid = 1; abort = not commit; read_set = rs; write_set = [ wr "b" "2" ];
+          decision = (if commit then Morty.Decision.Commit else Morty.Decision.Abandon) } ];
+  List.iter (fun key -> check_held b key "after the decide" (0, 0)) [ "a"; "b"; "c" ];
+  Alcotest.(check (option string)) "b installed iff committed"
+    (if commit then Some "2" else None)
+    (Morty.Replica.committed_value_at b.b_replica "b" v1);
+  Alcotest.(check (option string)) "b reads the decided value"
+    (Some (if commit then "2" else "0"))
+    (Morty.Replica.read_current b.b_replica "b")
+
+(* [v2] reads [v1]'s uncommitted write, so its prepare waits for [v1]'s
+   decide; [v1]'s decide wakes it, and [v2]'s own decide releases it. *)
+let suspended_on_dep ~dep_commits =
+  let b = make_bare () in
+  let ws1 = [ wr "a" "1" ] and rs2 = [ rd "a" v1 "1" ] and ws2 = [ wr "b" "x" ] in
+  deliver b
+    [ Morty.Msg.Put { ver = v1; key = "a"; value = "1"; eid = 0 };
+      Get { ver = v2; key = "a"; seq = 0; eid = 0 };
+      Prepare { ver = v2; eid = 0; read_set = rs2; write_set = ws2 } ];
+  Alcotest.(check int) "one transaction has a suspended prepare" 1 (suspended b);
+  check_held b "a" "while suspended" (1, 0);
+  deliver b
+    [ Morty.Msg.Decide
+        { ver = v1; eid = 0; abort = not dep_commits; read_set = []; write_set = ws1;
+          decision =
+            (if dep_commits then Morty.Decision.Commit else Morty.Decision.Abandon) } ];
+  Alcotest.(check int) "woken" 0 (suspended b);
+  check_held b "a" "after the dependency's decide"
+    (if dep_commits then (1, 1) else (1, 0));
+  check_held b "b" "after the dependency's decide"
+    (if dep_commits then (0, 1) else (0, 0));
+  deliver b
+    [ Morty.Msg.Decide
+        { ver = v2; eid = 0; abort = not dep_commits; read_set = rs2; write_set = ws2;
+          decision =
+            (if dep_commits then Morty.Decision.Commit else Morty.Decision.Abandon) } ];
+  check_held b "a" "after both decides" (0, 0);
+  check_held b "b" "after both decides" (0, 0);
+  Alcotest.(check int) "nothing suspended" 0 (suspended b)
+
+let test_suspended_prepare_dep_commits () = suspended_on_dep ~dep_commits:true
+let test_suspended_prepare_dep_aborts () = suspended_on_dep ~dep_commits:false
+
 let test_fast_path_statistics () =
   let c = make_cluster () in
   load c [ ("x", "0") ];
@@ -421,4 +556,19 @@ let suites =
       ] );
     ( "morty.gc",
       [ Alcotest.test_case "truncation gc" `Quick test_truncation_gc ] );
+    ( "morty.decide-cleanup",
+      [
+        Alcotest.test_case "commit releases a re-executed txn" `Quick
+          (test_decide_releases_reexecuted ~commit:true ~abandon_lost:false);
+        Alcotest.test_case "abort releases a re-executed txn" `Quick
+          (test_decide_releases_reexecuted ~commit:false ~abandon_lost:false);
+        Alcotest.test_case "commit after a lost abandon" `Quick
+          (test_decide_releases_reexecuted ~commit:true ~abandon_lost:true);
+        Alcotest.test_case "abort after a lost abandon" `Quick
+          (test_decide_releases_reexecuted ~commit:false ~abandon_lost:true);
+        Alcotest.test_case "suspended prepare, dependency commits" `Quick
+          test_suspended_prepare_dep_commits;
+        Alcotest.test_case "suspended prepare, dependency aborts" `Quick
+          test_suspended_prepare_dep_aborts;
+      ] );
   ]

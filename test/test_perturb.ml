@@ -85,6 +85,22 @@ type outcome = {
           versions of finished lineage records *)
 }
 
+(* Sorted [ver] args of the trace's [txn] spans, and sorted versions of
+   the finished lineage records. *)
+let finished_of obs =
+  let sorted f l = List.sort compare (List.filter_map f l) in
+  ( sorted
+      (fun (e : Obs.Sink.event) ->
+        match (e.ev_ph, e.ev_name, List.assoc_opt "ver" e.ev_args) with
+        | Obs.Sink.Complete, "txn", Some (Obs.Sink.S v) -> Some v
+        | _ -> None)
+      (Obs.Sink.events (Obs.Bus.sink obs)),
+    sorted
+      (fun (r : Obs.Lineage.record) ->
+        if r.r_end_us > 0 then Some (Fmt.str "%a" Obs.Lineage.pp_ver r.r_ver)
+        else None)
+      (Obs.Lineage.records (Obs.Bus.lineage_log obs)) )
+
 (* Runs on a worker domain in the parallel cells: every observer is
    created here, and only immutable data travels back. *)
 let run_case o case =
@@ -102,23 +118,11 @@ let run_case o case =
   let verdict = Case.run ~obs case in
   let sink = Obs.Bus.sink obs and monitor = Obs.Bus.monitor obs in
   let artifact on kind render = if on then [ (kind, render ()) ] else [] in
-  let sorted f l = List.sort compare (List.filter_map f l) in
   {
     verdict;
     violations = Obs.Monitor.n_violations monitor;
     observed = Obs.Monitor.n_observed monitor;
-    finished =
-      ( sorted
-          (fun (e : Obs.Sink.event) ->
-            match (e.ev_ph, e.ev_name, List.assoc_opt "ver" e.ev_args) with
-            | Obs.Sink.Complete, "txn", Some (Obs.Sink.S v) -> Some v
-            | _ -> None)
-          (Obs.Sink.events sink),
-        sorted
-          (fun (r : Obs.Lineage.record) ->
-            if r.r_end_us > 0 then Some (Fmt.str "%a" Obs.Lineage.pp_ver r.r_ver)
-            else None)
-          (Obs.Lineage.records (Obs.Bus.lineage_log obs)) );
+    finished = finished_of obs;
     artifacts =
       List.concat
         [
@@ -227,6 +231,32 @@ let check_system system () =
       if cell = sys ^ "/serial/all" then check_golden sys outcomes)
     cells
 
+(* The matrix's cases draw no user aborts (ycsb-small never aborts on
+   its own), so TPC-C, whose New-Order rolls back 1 % of the time, checks
+   that a user abort records its [txn] span like any other finish. *)
+let check_user_abort_spans system () =
+  let case =
+    { Case.default with
+      Case.c_system = system; c_workload = "tpcc-small"; c_seed = 3 }
+  in
+  let sink = Obs.Sink.create ~seed:case.c_seed in
+  let obs =
+    Obs.Bus.create ~sink ~lineage_log:(Obs.Lineage.create ~label:(Case.label case) ()) ()
+  in
+  ignore (Case.run ~obs case);
+  let user_aborts =
+    List.length
+      (List.filter
+         (fun (e : Obs.Sink.event) ->
+           e.ev_name = "abort"
+           && List.assoc_opt "reason" e.ev_args = Some (Obs.Sink.S "user-abort"))
+         (Obs.Sink.events sink))
+  in
+  Alcotest.(check bool) "the case has a user abort" true (user_aborts > 0);
+  let spans, records = finished_of obs in
+  Alcotest.(check (list string)) "one txn span per finished lineage record" records
+    spans
+
 let suites =
   [
     ( "perturb",
@@ -235,5 +265,11 @@ let suites =
           Alcotest.test_case
             (Harness.Run.system_name system ^ " matrix")
             `Quick (check_system system))
-        Harness.Run.all_systems );
+        Harness.Run.all_systems
+      @ List.map
+          (fun system ->
+            Alcotest.test_case
+              (Harness.Run.system_name system ^ " user-abort spans")
+              `Quick (check_user_abort_spans system))
+          [ Harness.Run.Tapir; Harness.Run.Spanner ] );
   ]

@@ -329,6 +329,55 @@ let test_tpcc_full_mix_on_tapir () =
     Alcotest.(check int) "tapir ytd invariant" !d_sum w_ytd
   done
 
+(* ---- Key builders ---- *)
+
+(* Every key builder against the [Printf] form it replaced, over small,
+   boundary and extreme ids: keys name rows in every store, so one
+   character of difference changes every run. *)
+let test_key_builders_match_printf () =
+  let ids = [ min_int; -10; -1; 0; 1; 9; 10; 99; 100; 4_096; 99_999; max_int ] in
+  let check name expect got = Alcotest.(check string) name expect got in
+  List.iter
+    (fun i ->
+      check "ycsb" (Printf.sprintf "y:%d" i) (Workload.Ycsb.key i);
+      check "retwis" (Printf.sprintf "key:%d" i) (Retwis.key i);
+      check "checking" (Printf.sprintf "chk:%d" i) (Workload.Smallbank.checking_key i);
+      check "savings" (Printf.sprintf "sav:%d" i) (Workload.Smallbank.savings_key i);
+      check "warehouse" (Printf.sprintf "w:%d" i) (Tpcc.k_warehouse i);
+      check "item" (Printf.sprintf "i:%d" i) (Tpcc.k_item i);
+      List.iter
+        (fun j ->
+          check "district" (Printf.sprintf "d:%d:%d" i j) (Tpcc.k_district i j);
+          check "stock" (Printf.sprintf "s:%d:%d" i j) (Tpcc.k_stock i j);
+          check "deliv_lo" (Printf.sprintf "dlo:%d:%d" i j) (Tpcc.k_deliv_lo i j);
+          check "idx_last_name"
+            (Printf.sprintf "idxlast:%d:%d:%s" i j "BARPRIESE")
+            (Tpcc.k_idx_last_name i j "BARPRIESE");
+          List.iter
+            (fun k ->
+              check "customer" (Printf.sprintf "c:%d:%d:%d" i j k) (Tpcc.k_customer i j k);
+              check "order" (Printf.sprintf "o:%d:%d:%d" i j k) (Tpcc.k_order i j k);
+              check "new_order" (Printf.sprintf "no:%d:%d:%d" i j k)
+                (Tpcc.k_new_order i j k);
+              check "idx_cust_order" (Printf.sprintf "idxco:%d:%d:%d" i j k)
+                (Tpcc.k_idx_cust_order i j k);
+              List.iter
+                (fun l ->
+                  check "order_line" (Printf.sprintf "ol:%d:%d:%d:%d" i j k l)
+                    (Tpcc.k_order_line i j k l);
+                  check "history" (Printf.sprintf "h:%d:%d:%d:%d" i j k l)
+                    (Tpcc.k_history i j k l))
+                ids)
+            ids)
+        ids)
+    ids;
+  (* Plus a dense range, as the workloads draw them. *)
+  for i = 0 to 2_000 do
+    check "ycsb dense" (Printf.sprintf "y:%d" i) (Workload.Ycsb.key i);
+    check "order_line dense" (Printf.sprintf "ol:%d:%d:%d:%d" 1 (i mod 10) i (i mod 15))
+      (Tpcc.k_order_line 1 (i mod 10) i (i mod 15))
+  done
+
 (* ---- YCSB extension ---- *)
 
 let test_ycsb_plan_mix () =
@@ -397,6 +446,8 @@ let suites =
         Alcotest.test_case "tpcc initial data" `Quick test_tpcc_initial_data_complete;
         Alcotest.test_case "tpcc partitioning" `Quick test_tpcc_partitioning;
         Alcotest.test_case "retwis initial data" `Quick test_retwis_initial_data;
+        Alcotest.test_case "key builders match printf" `Quick
+          test_key_builders_match_printf;
       ] );
     ( "workload.ycsb",
       [

@@ -14,7 +14,9 @@ Both sides must print the same `digest-hash` for a seed (the simulated
 history is a pure function of it); if they differ, or a run fails its
 audit or prints no result, the script stops without reporting and exits
 1.  Otherwise it prints, per metric, each side's median [Q1, Q3], the
-change of the medians and how many pairs CHANGE won.
+change of the medians, a distribution-free 95 % confidence interval of
+the median per-pair change (sign-test order statistics; it needs at
+least 6 pairs) and how many pairs CHANGE won.
 
 The default metrics are BENCHMARK.json's end-to-end ones, with their
 better direction.  --metric picks others: any name in perfbench's JSON
@@ -26,6 +28,7 @@ BENCHMARK.json count lower as better.
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -82,6 +85,40 @@ def fmt(x):
     return "%.4g" % x
 
 
+def sign_test_ci(xs, level=0.95):
+    """Distribution-free confidence interval for the median of xs.
+
+    With B ~ Binomial(n, 1/2), the order statistics x(k) and x(n+1-k)
+    bound the median with probability 1 - 2 P(B <= k-1); k is the
+    largest rank that keeps this at least `level`.  Returns
+    (low, high, coverage), or None when even (min, max) covers less
+    than `level` (n < 6 at 95 %)."""
+    xs = sorted(xs)
+    n = len(xs)
+    tail = (1 - level) / 2
+    k, below = 0, 0.0  # below = P(B <= k-1)
+    while k < n // 2:
+        step = below + math.comb(n, k) / 2.0 ** n
+        if step > tail:
+            break
+        k, below = k + 1, step
+    if k == 0:
+        return None
+    return xs[k - 1], xs[n - k], 1 - 2 * below
+
+
+def pair_changes(base, change):
+    """Per-pair relative change of CHANGE against BASE, in percent."""
+    return [100.0 * (c - b) / b for b, c in zip(base, change) if b]
+
+
+def fmt_ci(changes):
+    ci = sign_test_ci(changes)
+    if ci is None:
+        return "n/a"
+    return "[%+.1f %%, %+.1f %%]" % (ci[0], ci[1])
+
+
 def main():
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("base")
@@ -117,8 +154,9 @@ def main():
                          % (i + 1, args.pairs, seed, order[0], digests["base"]))
     print("workload %s, %d pairs, seeds %s, %gs runs, --trace %d"
           % (args.workload, args.pairs, args.seeds, args.seconds, args.trace))
-    print("| metric | base | change | change of median | pairs won |")
-    print("|---|---|---|---|---|")
+    print("| metric | base | change | change of median "
+          "| 95 % CI of per-pair change | pairs won |")
+    print("|---|---|---|---|---|---|")
     for name, direction in metrics:
         if any(name not in s for side in samples.values() for s in side):
             sys.exit("abab: metric %s missing from some run" % name)
@@ -128,9 +166,9 @@ def main():
                   if (y < x if direction == "lower" else y > x))
         (bm, bq1, bq3), (cm, cq1, cq3) = quartiles(b), quartiles(c)
         rel = "%+.1f %%" % (100 * (cm - bm) / bm) if bm else "n/a"
-        print("| `%s` | %s [%s, %s] | %s [%s, %s] | %s | %d/%d |"
+        print("| `%s` | %s [%s, %s] | %s [%s, %s] | %s | %s | %d/%d |"
               % (name, fmt(bm), fmt(bq1), fmt(bq3), fmt(cm), fmt(cq1),
-                 fmt(cq3), rel, won, len(b)))
+                 fmt(cq3), rel, fmt_ci(pair_changes(b, c)), won, len(b)))
 
 
 if __name__ == "__main__":

@@ -80,6 +80,10 @@ type state_view = {
   v_counters : (string * int) list;
 }
 
+(* Keyed by label and row key: string equality, not polymorphic compare,
+   on every committed write. *)
+module Stbl = Hashtbl.Make (String)
+
 type t = {
   enabled : bool;
   max_records : int;
@@ -91,7 +95,8 @@ type t = {
      replica is a fresh incarnation whose catch-up state may lawfully
      trail what its predecessor had *)
   wmarks : (string, ver) Hashtbl.t;
-  maxcommit : (string * string, ver) Hashtbl.t;
+  maxcommit : ver Stbl.t Stbl.t;
+      (* replica -> key -> newest installed version *)
   mutable view_sources : (unit -> state_view list) list;
 }
 
@@ -106,7 +111,7 @@ let make ~enabled ~max_records =
     violations = [];
     incidents = [];
     wmarks = Hashtbl.create 16;
-    maxcommit = Hashtbl.create 256;
+    maxcommit = Stbl.create 16;
     view_sources = [];
   }
 
@@ -131,7 +136,9 @@ let violate t ~ts ~invariant ~where ~detail =
 
 (* Versions order lexicographically on (ts, id) — the same total order
    [Cc_types.Version.compare] uses. *)
-let vcmp (a : ver) (b : ver) = compare a b
+let vcmp ((ts, id) : ver) ((ts', id') : ver) =
+  let c = Int.compare ts ts' in
+  if c <> 0 then c else Int.compare id id'
 
 let check_watermark t ~ts ~replica wm =
   (match Hashtbl.find_opt t.wmarks replica with
@@ -180,13 +187,23 @@ let check_read_serve t ~ts ~replica ~key ~reader ~served =
            (ver_str reader) key (ver_str served))
 
 let note_install t ~replica ~key ver =
-  let k = (replica, key) in
-  match Hashtbl.find_opt t.maxcommit k with
+  let installed =
+    match Stbl.find_opt t.maxcommit replica with
+    | Some tbl -> tbl
+    | None ->
+      let tbl = Stbl.create 64 in
+      Stbl.replace t.maxcommit replica tbl;
+      tbl
+  in
+  match Stbl.find_opt installed key with
   | Some old when vcmp old ver >= 0 -> ()
-  | Some _ | None -> Hashtbl.replace t.maxcommit k ver
+  | Some _ | None -> Stbl.replace installed key ver
 
 let check_gc_survivor t ~ts ~replica ~key ~newest ~wm =
-  match Hashtbl.find_opt t.maxcommit (replica, key) with
+  match
+    Option.bind (Stbl.find_opt t.maxcommit replica) (fun installed ->
+        Stbl.find_opt installed key)
+  with
   | None -> ()
   | Some max_seen ->
     let ok = match newest with None -> false | Some n -> vcmp n max_seen >= 0 in
@@ -308,12 +325,7 @@ let note_kill t ~ts ~replica =
        install less than the dead replica had, so per-replica tracking
        must restart from scratch. *)
     Hashtbl.remove t.wmarks replica;
-    let stale =
-      Hashtbl.fold
-        (fun ((r, _) as k) _ acc -> if String.equal r replica then k :: acc else acc)
-        t.maxcommit []
-    in
-    List.iter (Hashtbl.remove t.maxcommit) stale
+    Stbl.remove t.maxcommit replica
   end
 
 let violations t = List.rev t.violations

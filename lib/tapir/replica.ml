@@ -111,7 +111,9 @@ let marker table key =
     Hashtbl.replace table key s;
     s
 
-let mark table key txn = marker table key := Version.Set.add txn !(marker table key)
+let mark table key txn =
+  let s = marker table key in
+  s := Version.Set.add txn !s
 
 let unmark table key txn =
   match Hashtbl.find_opt table key with

@@ -24,7 +24,7 @@ let is_read_only = function
   | Load_timeline -> true
   | Add_user | Follow | Post_tweet -> false
 
-let key i = "key:" ^ string_of_int i
+let key i = Dec.cat1 "key:" i
 
 let initial_data conf = List.init conf.n_keys (fun i -> (key i, "0"))
 
@@ -32,28 +32,25 @@ let sampler conf = Sim.Dist.zipf ~n:conf.n_keys ~theta:conf.theta
 
 let partition_of_key ~n_groups k = Hashtbl.hash k mod n_groups
 
+(* Distinct Zipf-distributed keys; at most ten ids, so a list beats a
+   table. *)
+let pick_keys rng zipf n =
+  let rec go seen acc remaining guard =
+    if remaining = 0 || guard = 0 then acc
+    else
+      let i = Sim.Dist.zipf_sample zipf rng in
+      if List.mem i seen then go seen acc remaining (guard - 1)
+      else go (i :: seen) (key i :: acc) (remaining - 1) (guard - 1)
+  in
+  go [] [] n (n * 100)
+
 module Make (C : Cc_types.Kv_api.S) = struct
   let rec each ctx xs f k =
     match xs with
     | [] -> k ctx
     | x :: rest -> f ctx x (fun ctx -> each ctx rest f k)
 
-  (* Distinct Zipf-distributed keys. *)
-  let pick_keys rng zipf n =
-    let seen = Hashtbl.create 8 in
-    let rec go acc remaining guard =
-      if remaining = 0 || guard = 0 then acc
-      else
-        let i = Sim.Dist.zipf_sample zipf rng in
-        if Hashtbl.mem seen i then go acc remaining (guard - 1)
-        else begin
-          Hashtbl.add seen i ();
-          go (key i :: acc) (remaining - 1) (guard - 1)
-        end
-    in
-    go [] n (n * 100)
-
-  let incr_value v = string_of_int ((match int_of_string_opt v with Some n -> n | None -> 0) + 1)
+  let incr_value v = Dec.to_string (Dec.int_or_zero v + 1)
 
   (* [rmws] read–modify–writes followed by [blind] blind writes. *)
   let read_modify_write client rng zipf ~rmws ~blind done_ =

@@ -38,6 +38,10 @@ val sampler : conf -> Sim.Dist.zipf
 
 val partition_of_key : n_groups:int -> string -> int
 
+val pick_keys : Sim.Rng.t -> Sim.Dist.zipf -> int -> string list
+(** [pick_keys rng zipf n] draws up to [n] distinct Zipf-distributed
+    keys, newest first, giving up after [100 n] draws. *)
+
 module Make (C : Cc_types.Kv_api.S) : sig
   val run :
     C.t ->

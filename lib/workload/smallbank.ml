@@ -37,16 +37,16 @@ let is_read_only = function
   | Deposit_checking | Transact_savings | Amalgamate | Write_check | Send_payment ->
     false
 
-let checking_key c = "chk:" ^ string_of_int c
+let checking_key c = Dec.cat1 "chk:" c
 
-let savings_key c = "sav:" ^ string_of_int c
+let savings_key c = Dec.cat1 "sav:" c
 
 let initial_data conf =
   List.concat_map
     (fun c ->
       [
-        (checking_key c, string_of_int conf.initial_balance);
-        (savings_key c, string_of_int conf.initial_balance);
+        (checking_key c, Dec.to_string conf.initial_balance);
+        (savings_key c, Dec.to_string conf.initial_balance);
       ])
     (List.init conf.n_customers (fun i -> i))
 
@@ -54,13 +54,22 @@ let total_money conf = 2 * conf.n_customers * conf.initial_balance
 
 let sampler conf = Sim.Dist.zipf ~n:conf.n_customers ~theta:conf.theta
 
+(* The customer id after the key's only [':'], read in place. *)
 let partition_of_key ~n_groups key =
-  match String.split_on_char ':' key with
-  | [ _; c ] -> (match int_of_string_opt c with Some c -> c mod n_groups | None -> 0)
-  | _ -> 0
+  let len = String.length key in
+  let colon = Dec.index_or_end key 0 ':' in
+  if colon = len || Dec.index_or_end key (colon + 1) ':' < len then 0
+  else
+    let pos = colon + 1 in
+    let c = Dec.digits key pos (len - pos) in
+    if c >= 0 then c mod n_groups
+    else
+      match int_of_string_opt (String.sub key pos (len - pos)) with
+      | Some c -> c mod n_groups
+      | None -> 0
 
 module Make (C : Cc_types.Kv_api.S) = struct
-  let int_of v = match int_of_string_opt v with Some n -> n | None -> 0
+  let int_of = Dec.int_or_zero
 
   let two_customers rng zipf =
     let a = Sim.Dist.zipf_sample zipf rng in
@@ -84,7 +93,7 @@ module Make (C : Cc_types.Kv_api.S) = struct
         C.get_for_update client ctx (checking_key c) (fun ctx v ->
             on_delta amount;
             let ctx =
-              C.put client ctx (checking_key c) (string_of_int (int_of v + amount))
+              C.put client ctx (checking_key c) (Dec.to_string (int_of v + amount))
             in
             C.commit client ctx done_))
 
@@ -97,7 +106,7 @@ module Make (C : Cc_types.Kv_api.S) = struct
             let delta = if int_of v >= amount then -amount else amount in
             on_delta delta;
             let ctx =
-              C.put client ctx (savings_key c) (string_of_int (int_of v + delta))
+              C.put client ctx (savings_key c) (Dec.to_string (int_of v + delta))
             in
             C.commit client ctx done_))
 
@@ -112,7 +121,7 @@ module Make (C : Cc_types.Kv_api.S) = struct
                     let ctx = C.put client ctx (checking_key a) "0" in
                     let ctx =
                       C.put client ctx (checking_key b)
-                        (string_of_int (int_of cb + total))
+                        (Dec.to_string (int_of cb + total))
                     in
                     C.commit client ctx done_))))
 
@@ -130,7 +139,7 @@ module Make (C : Cc_types.Kv_api.S) = struct
                 on_delta (-debit);
                 let ctx =
                   C.put client ctx (checking_key c)
-                    (string_of_int (int_of cv - debit))
+                    (Dec.to_string (int_of cv - debit))
                 in
                 C.commit client ctx done_)))
 
@@ -146,11 +155,11 @@ module Make (C : Cc_types.Kv_api.S) = struct
                 else
                   let ctx =
                     C.put client ctx (checking_key a)
-                      (string_of_int (int_of va - amount))
+                      (Dec.to_string (int_of va - amount))
                   in
                   let ctx =
                     C.put client ctx (checking_key b)
-                      (string_of_int (int_of vb + amount))
+                      (Dec.to_string (int_of vb + amount))
                   in
                   C.commit client ctx done_)))
 

@@ -55,24 +55,20 @@ let last_name n =
 
 (* --- Keys --------------------------------------------------------------- *)
 
-(* [prefix:a:b:...] built with [^]: keys are made on every operation. *)
-let k1 p a = p ^ string_of_int a
-let k2 p a b = k1 p a ^ ":" ^ string_of_int b
-let k3 p a b c = k2 p a b ^ ":" ^ string_of_int c
-let k4 p a b c d = k3 p a b c ^ ":" ^ string_of_int d
-
-let k_warehouse w = k1 "w:" w
-let k_district w d = k2 "d:" w d
-let k_customer w d c = k3 "c:" w d c
-let k_item i = k1 "i:" i
-let k_stock w i = k2 "s:" w i
-let k_order w d o = k3 "o:" w d o
-let k_new_order w d o = k3 "no:" w d o
-let k_order_line w d o n = k4 "ol:" w d o n
-let k_history w d c uniq = k4 "h:" w d c uniq
-let k_idx_cust_order w d c = k3 "idxco:" w d c
-let k_deliv_lo w d = k2 "dlo:" w d
-let k_idx_last_name w d last = k2 "idxlast:" w d ^ ":" ^ last
+(* [prefix:a:b:...], each in one buffer: keys are made on every
+   operation. *)
+let k_warehouse w = Dec.cat1 "w:" w
+let k_district w d = Dec.cat2 ':' "d:" w d
+let k_customer w d c = Dec.cat3 ':' "c:" w d c
+let k_item i = Dec.cat1 "i:" i
+let k_stock w i = Dec.cat2 ':' "s:" w i
+let k_order w d o = Dec.cat3 ':' "o:" w d o
+let k_new_order w d o = Dec.cat3 ':' "no:" w d o
+let k_order_line w d o n = Dec.cat4 ':' "ol:" w d o n
+let k_history w d c uniq = Dec.cat4 ':' "h:" w d c uniq
+let k_idx_cust_order w d c = Dec.cat3 ':' "idxco:" w d c
+let k_deliv_lo w d = Dec.cat2 ':' "dlo:" w d
+let k_idx_last_name w d last = String.concat ":" [ Dec.cat2 ':' "idxlast:" w d; last ]
 
 (* Row layouts (field indices). *)
 let w_ytd = 1 (* [name; ytd] *)
@@ -94,14 +90,22 @@ and o_ol_cnt = 3 (* [c_id; entry; carrier; ol_cnt] *)
 let ol_i_id = 0
 and ol_amount = 3 (* [i_id; supply_w; qty; amount] *)
 
+(* The warehouse id is the key's second [':']-separated field, read in
+   place; the items table ([i:...]) is replicated on every group. *)
 let partition_of_key ~home_group ~n_groups key =
-  match String.split_on_char ':' key with
-  | "i" :: _ -> home_group (* the items table is replicated on every group *)
-  | _ :: w :: _ -> (
-    match int_of_string_opt w with
-    | Some w -> (w - 1) mod n_groups
-    | None -> 0)
-  | _ -> 0
+  let len = String.length key in
+  let colon = Dec.index_or_end key 0 ':' in
+  if colon = 1 && key.[0] = 'i' then home_group
+  else if colon = len then 0
+  else
+    let pos = colon + 1 in
+    let n = Dec.index_or_end key pos ':' - pos in
+    let w = Dec.digits key pos n in
+    if w >= 0 then (w - 1) mod n_groups
+    else
+      match int_of_string_opt (String.sub key pos n) with
+      | Some w -> (w - 1) mod n_groups
+      | None -> 0
 
 (* --- Initial database ----------------------------------------------------- *)
 
@@ -112,23 +116,24 @@ let initial_data conf =
   for i = 1 to conf.n_items do
     add (k_item i)
       (Row.encode
-         [| Printf.sprintf "item-%d" i; string_of_int (100 + Sim.Rng.int rng 9900);
-            Printf.sprintf "data-%d" (Sim.Rng.int rng 10_000) |])
+         [| Dec.cat1 "item-" i; Dec.to_string (100 + Sim.Rng.int rng 9900);
+            Dec.cat1 "data-" (Sim.Rng.int rng 10_000) |])
   done;
   for w = 1 to conf.n_warehouses do
     add (k_warehouse w)
       (Row.encode
          [| Printf.sprintf "warehouse-%d" w; "0"; Printf.sprintf "%d Main St" w;
             "Springfield"; "ST"; Printf.sprintf "%05d1111" w;
-            string_of_int (Sim.Rng.int rng 20) |]);
+            Dec.to_string (Sim.Rng.int rng 20) |]);
     for i = 1 to conf.n_items do
       add (k_stock w i)
-        (Row.encode [| string_of_int (10 + Sim.Rng.int rng 91); "0"; "0"; "0" |])
+        (Row.encode [| Dec.to_string (10 + Sim.Rng.int rng 91); "0"; "0"; "0" |])
     done;
     for d = 1 to conf.districts_per_warehouse do
       let init_orders = conf.initial_orders_per_district in
       add (k_district w d)
-        (Row.encode [| "0"; string_of_int (init_orders + 1); string_of_int (Sim.Rng.int rng 20) |]);
+        (Row.encode
+           [| "0"; Dec.to_string (init_orders + 1); Dec.to_string (Sim.Rng.int rng 20) |]);
       for c = 1 to conf.customers_per_district do
         (* Last names follow the spec's syllable scheme; the secondary
            index maps a (warehouse, district, last name) to a
@@ -136,28 +141,30 @@ let initial_data conf =
         let last = last_name (c - 1) in
         add (k_customer w d c)
           (Row.encode
-             [| Printf.sprintf "cust-%d-%d-%d" w d c; "0"; "0"; "0"; "0"; last;
+             [| Dec.cat3 '-' "cust-" w d c; "0"; "0"; "0"; "0"; last;
                 (if Sim.Rng.int rng 10 = 0 then "BC" else "GC");
-                string_of_int (Sim.Rng.int rng 50); "0" |]);
-        add (k_idx_last_name w d last) (Row.encode [| string_of_int c |])
+                Dec.to_string (Sim.Rng.int rng 50); "0" |]);
+        (* A one-field row is its field. *)
+        add (k_idx_last_name w d last) (Dec.to_string c)
       done;
       (* Initial orders: the last three are undelivered. *)
       let first_undelivered = max 1 (init_orders - 2) in
-      add (k_deliv_lo w d) (Row.encode [| string_of_int first_undelivered |]);
+      add (k_deliv_lo w d) (Dec.to_string first_undelivered);
       for o = 1 to init_orders do
         let c = 1 + Sim.Rng.int rng conf.customers_per_district in
         let ol_cnt = 5 in
-        let carrier = if o < first_undelivered then string_of_int (1 + Sim.Rng.int rng 10) else "" in
+        let carrier = if o < first_undelivered then Dec.to_string (1 + Sim.Rng.int rng 10) else "" in
         add (k_order w d o)
-          (Row.encode [| string_of_int c; "0"; carrier; string_of_int ol_cnt |]);
-        add (k_idx_cust_order w d c) (Row.encode [| string_of_int o |]);
-        if o >= first_undelivered then add (k_new_order w d o) (Row.encode [| "1" |]);
+          (Row.encode [| Dec.to_string c; "0"; carrier; Dec.to_string ol_cnt |]);
+        add (k_idx_cust_order w d c) (Dec.to_string o);
+        if o >= first_undelivered then add (k_new_order w d o) "1";
         for n = 1 to ol_cnt do
           let i = 1 + Sim.Rng.int rng conf.n_items in
-          add (k_order_line w d o n)
-            (Row.encode
-               [| string_of_int i; string_of_int w; string_of_int (1 + Sim.Rng.int rng 10);
-                  string_of_int (10 + Sim.Rng.int rng 9990) |])
+          (* Amount before quantity: the database is a function of
+             this draw order. *)
+          let amount = 10 + Sim.Rng.int rng 9990 in
+          let qty = 1 + Sim.Rng.int rng 10 in
+          add (k_order_line w d o n) (Dec.cat4 '|' "" i w qty amount)
         done
       done
     done
@@ -165,6 +172,25 @@ let initial_data conf =
   !rows
 
 (* --- Transactions ----------------------------------------------------------- *)
+
+(* Non-uniform selections per clause 2.1.6: NURand(8191) for items and
+   NURand(1023) for customers, folded onto the scaled ranges. *)
+let pick_item conf rng =
+  1 + (Sim.Dist.nurand rng ~a:8191 ~x:1 ~y:conf.n_items - 1) mod conf.n_items
+
+let pick_customer conf rng =
+  1 + (Sim.Dist.nurand rng ~a:1023 ~x:1 ~y:conf.customers_per_district - 1)
+      mod conf.customers_per_district
+
+(* At most [max_items_per_order] ids: the picked list is the seen set. *)
+let distinct_items conf rng n =
+  let rec pick acc remaining =
+    if remaining = 0 then acc
+    else
+      let i = pick_item conf rng in
+      if List.mem i acc then pick acc remaining else pick (i :: acc) (remaining - 1)
+  in
+  pick [] (min n conf.n_items)
 
 module Make (C : Cc_types.Kv_api.S) = struct
   (* Sequentially run [f] over [xs], threading the context. *)
@@ -182,29 +208,6 @@ module Make (C : Cc_types.Kv_api.S) = struct
     match xs with
     | [] -> k ctx acc
     | x :: rest -> f ctx acc x (fun ctx acc -> fold_each ctx rest acc f k)
-
-  (* Non-uniform selections per clause 2.1.6: NURand(8191) for items and
-     NURand(1023) for customers, folded onto the scaled ranges. *)
-  let pick_item conf rng =
-    1 + (Sim.Dist.nurand rng ~a:8191 ~x:1 ~y:conf.n_items - 1) mod conf.n_items
-
-  let pick_customer conf rng =
-    1 + (Sim.Dist.nurand rng ~a:1023 ~x:1 ~y:conf.customers_per_district - 1)
-        mod conf.customers_per_district
-
-  let distinct_items conf rng n =
-    let seen = Hashtbl.create 8 in
-    let rec pick acc remaining =
-      if remaining = 0 then acc
-      else
-        let i = pick_item conf rng in
-        if Hashtbl.mem seen i then pick acc remaining
-        else begin
-          Hashtbl.add seen i ();
-          pick (i :: acc) (remaining - 1)
-        end
-    in
-    pick [] (min n conf.n_items)
 
   let new_order conf client rng ~home_w done_ =
     let w = home_w in
@@ -243,7 +246,7 @@ module Make (C : Cc_types.Kv_api.S) = struct
                     else
                     let line ctx (n, (i, supply, qty)) k =
                       C.get client ctx (k_item i) (fun ctx irow ->
-                          let price = Row.get_int (Row.decode irow) i_price in
+                          let price = Row.field_int irow i_price in
                           C.get_for_update client ctx (k_stock supply i) (fun ctx srow ->
                               let srow = Row.decode srow in
                               let on_hand = Row.get_int srow s_quantity in
@@ -261,9 +264,7 @@ module Make (C : Cc_types.Kv_api.S) = struct
                               let ctx = C.put client ctx (k_stock supply i) (Row.encode srow) in
                               let ctx =
                                 C.put client ctx (k_order_line w d o_id n)
-                                  (Row.encode
-                                     [| string_of_int i; string_of_int supply;
-                                        string_of_int qty; string_of_int (price * qty) |])
+                                  (Dec.cat4 '|' "" i supply qty (price * qty))
                               in
                               k ctx))
                     in
@@ -272,13 +273,10 @@ module Make (C : Cc_types.Kv_api.S) = struct
                         let ctx =
                           C.put client ctx (k_order w d o_id)
                             (Row.encode
-                               [| string_of_int c; "0"; ""; string_of_int (List.length items) |])
+                               [| Dec.to_string c; "0"; ""; Dec.to_string (List.length items) |])
                         in
-                        let ctx = C.put client ctx (k_new_order w d o_id) (Row.encode [| "1" |]) in
-                        let ctx =
-                          C.put client ctx (k_idx_cust_order w d c)
-                            (Row.encode [| string_of_int o_id |])
-                        in
+                        let ctx = C.put client ctx (k_new_order w d o_id) "1" in
+                        let ctx = C.put client ctx (k_idx_cust_order w d c) (Dec.to_string o_id) in
                         C.commit client ctx done_)))))
 
   let payment conf client rng ~home_w done_ =
@@ -299,8 +297,7 @@ module Make (C : Cc_types.Kv_api.S) = struct
       if by_name then
         let last = last_name (Sim.Rng.int rng (min 1000 conf.customers_per_district)) in
         C.get client ctx (k_idx_last_name c_w c_d last) (fun ctx idx ->
-            let idx = Row.decode idx in
-            let c = if Array.length idx = 0 then 1 else Row.get_int idx 0 in
+            let c = if Row.is_absent idx then 1 else Row.field_int idx 0 in
             k ctx c)
       else k ctx (pick_customer conf rng)
     in
@@ -323,8 +320,7 @@ module Make (C : Cc_types.Kv_api.S) = struct
                         let crow = Row.add_int crow c_payment_cnt 1 in
                         let ctx = C.put client ctx (k_customer c_w c_d c) (Row.encode crow) in
                         let ctx =
-                          C.put client ctx (k_history w d c uniq)
-                            (Row.encode [| string_of_int amount |])
+                          C.put client ctx (k_history w d c uniq) (Dec.to_string amount)
                         in
                         C.commit client ctx done_)))))
 
@@ -336,8 +332,7 @@ module Make (C : Cc_types.Kv_api.S) = struct
       if by_name then
         let last = last_name (Sim.Rng.int rng (min 1000 conf.customers_per_district)) in
         C.get client ctx (k_idx_last_name w d last) (fun ctx idx ->
-            let idx = Row.decode idx in
-            let c = if Array.length idx = 0 then 1 else Row.get_int idx 0 in
+            let c = if Row.is_absent idx then 1 else Row.field_int idx 0 in
             k ctx c)
       else k ctx (pick_customer conf rng)
     in
@@ -345,12 +340,11 @@ module Make (C : Cc_types.Kv_api.S) = struct
         with_customer ctx (fun ctx c ->
         C.get client ctx (k_customer w d c) (fun ctx _crow ->
             C.get client ctx (k_idx_cust_order w d c) (fun ctx idx ->
-                let idx = Row.decode idx in
-                if Array.length idx = 0 then C.commit client ctx done_
+                if Row.is_absent idx then C.commit client ctx done_
                 else
-                  let o = Row.get_int idx 0 in
+                  let o = Row.field_int idx 0 in
                   C.get client ctx (k_order w d o) (fun ctx orow ->
-                      let ol_cnt = Row.get_int (Row.decode orow) o_ol_cnt in
+                      let ol_cnt = Row.field_int orow o_ol_cnt in
                       let lines = List.init ol_cnt (fun n -> n + 1) in
                       each ctx lines
                         (fun ctx n k ->
@@ -363,9 +357,9 @@ module Make (C : Cc_types.Kv_api.S) = struct
     let carrier = 1 + Sim.Rng.int rng 10 in
     C.begin_ client (fun ctx ->
         C.get_for_update client ctx (k_deliv_lo w d) (fun ctx lo_row ->
-            let lo = Row.get_int (Row.decode lo_row) 0 in
+            let lo = Row.field_int lo_row 0 in
             C.get client ctx (k_district w d) (fun ctx drow ->
-                let next_o = Row.get_int (Row.decode drow) d_next_o_id in
+                let next_o = Row.field_int drow d_next_o_id in
                 if lo <= 0 || lo >= next_o then C.commit client ctx done_
                 else
                   C.get_for_update client ctx (k_order w d lo) (fun ctx orow ->
@@ -380,7 +374,7 @@ module Make (C : Cc_types.Kv_api.S) = struct
                       fold_each ctx lines 0
                         (fun ctx total n k ->
                           C.get client ctx (k_order_line w d lo n) (fun ctx ol ->
-                              k ctx (total + Row.get_int (Row.decode ol) ol_amount)))
+                              k ctx (total + Row.field_int ol ol_amount)))
                         (fun ctx total ->
                           C.get_for_update client ctx (k_customer w d c) (fun ctx crow ->
                               let crow = Row.decode crow in
@@ -389,8 +383,7 @@ module Make (C : Cc_types.Kv_api.S) = struct
                               let ctx = C.put client ctx (k_customer w d c) (Row.encode crow) in
                               let ctx = C.put client ctx (k_new_order w d lo) "" in
                               let ctx =
-                                C.put client ctx (k_deliv_lo w d)
-                                  (Row.encode [| string_of_int (lo + 1) |])
+                                C.put client ctx (k_deliv_lo w d) (Dec.to_string (lo + 1))
                               in
                               C.commit client ctx done_))))))
 
@@ -400,18 +393,18 @@ module Make (C : Cc_types.Kv_api.S) = struct
     let threshold = 10 + Sim.Rng.int rng 11 in
     C.begin_ro client (fun ctx ->
         C.get client ctx (k_district w d) (fun ctx drow ->
-            let next_o = Row.get_int (Row.decode drow) d_next_o_id in
+            let next_o = Row.field_int drow d_next_o_id in
             let first = max 1 (next_o - 10) in
             let orders = List.init (max 0 (next_o - first)) (fun i -> first + i) in
             fold_each ctx orders []
               (fun ctx item_ids o k ->
                 C.get client ctx (k_order w d o) (fun ctx orow ->
-                    let ol_cnt = Row.get_int (Row.decode orow) o_ol_cnt in
+                    let ol_cnt = Row.field_int orow o_ol_cnt in
                     let lines = List.init ol_cnt (fun n -> n + 1) in
                     fold_each ctx lines item_ids
                       (fun ctx item_ids n k' ->
                         C.get client ctx (k_order_line w d o n) (fun ctx ol ->
-                            let i = Row.get_int (Row.decode ol) ol_i_id in
+                            let i = Row.field_int ol ol_i_id in
                             k' ctx (if i > 0 then i :: item_ids else item_ids)))
                       k))
               (fun ctx item_ids ->
@@ -420,7 +413,7 @@ module Make (C : Cc_types.Kv_api.S) = struct
                   (fun ctx low i k ->
                     C.get client ctx (k_stock w i) (fun ctx srow ->
                         let low' =
-                          if Row.get_int (Row.decode srow) s_quantity < threshold then low + 1
+                          if Row.field_int srow s_quantity < threshold then low + 1
                           else low
                         in
                         k ctx low'))

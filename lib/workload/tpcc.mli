@@ -63,6 +63,10 @@ val k_idx_cust_order : int -> int -> int -> string
 val k_deliv_lo : int -> int -> string
 val k_idx_last_name : int -> int -> string -> string
 
+val distinct_items : conf -> Sim.Rng.t -> int -> int list
+(** [distinct_items conf rng n] draws [min n conf.n_items] distinct item
+    ids (NURand, clause 2.1.6) for one New-Order, newest first. *)
+
 (** The workload instantiated over any of the four systems. *)
 module Make (C : Cc_types.Kv_api.S) : sig
   val run :

@@ -10,7 +10,7 @@ let workload_c = { default_conf with read_pct = 100 }
 
 let workload_f = { default_conf with read_pct = 0 }
 
-let key i = "y:" ^ string_of_int i
+let key i = Dec.cat1 "y:" i
 
 let initial_data conf = List.init conf.n_keys (fun i -> (key i, "0"))
 
@@ -53,8 +53,7 @@ module Make (C : Cc_types.Kv_api.S) = struct
           | Read k :: rest -> C.get client ctx k (fun ctx _ -> go ctx rest)
           | Update k :: rest ->
             C.get_for_update client ctx k (fun ctx v ->
-                let n = match int_of_string_opt v with Some n -> n | None -> 0 in
-                go (C.put client ctx k (string_of_int (n + 1))) rest)
+                go (C.put client ctx k (Dec.to_string (Dec.int_or_zero v + 1))) rest)
         in
         go ctx ops)
 end

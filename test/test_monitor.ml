@@ -95,9 +95,20 @@ let test_store_version_monotone () =
   check_fires "store-version-monotone"
     [ M.Commit_install { replica = "r0"; key = "k"; ver = (10, 1) };
       M.Gc_survivor { replica = "r0"; key = "k"; newest = None; wm = (8, 0) } ];
+  (* versions order on the id when the timestamps tie *)
+  check_fires "store-version-monotone"
+    [ M.Commit_install { replica = "r0"; key = "k"; ver = (10, 1) };
+      M.Commit_install { replica = "r0"; key = "k"; ver = (10, 0) };
+      M.Gc_survivor { replica = "r0"; key = "k"; newest = Some (10, 0); wm = (8, 0) } ];
   check_clean
     [ M.Commit_install { replica = "r0"; key = "k"; ver = (10, 1) };
-      M.Gc_survivor { replica = "r0"; key = "k"; newest = Some (10, 1); wm = (8, 0) } ]
+      M.Gc_survivor { replica = "r0"; key = "k"; newest = Some (10, 1); wm = (8, 0) } ];
+  (* each replica and each key is tracked on its own *)
+  check_clean
+    [ M.Commit_install { replica = "r0"; key = "k"; ver = (10, 1) };
+      M.Commit_install { replica = "r0"; key = "j"; ver = (3, 0) };
+      M.Gc_survivor { replica = "r1"; key = "k"; newest = None; wm = (8, 0) };
+      M.Gc_survivor { replica = "r0"; key = "j"; newest = Some (3, 0); wm = (8, 0) } ]
 
 let test_lock_exclusion () =
   (* write lock granted but the table says someone else holds the write *)
@@ -159,9 +170,13 @@ let test_note_kill_resets () =
   Alcotest.(check int) "no violations after kill reset" 0 (M.n_violations mon);
   (* but an untouched replica keeps its history *)
   M.observe mon ~ts (M.Watermark { replica = "r1"; wm = (10, 1) });
+  M.observe mon ~ts (M.Commit_install { replica = "r1"; key = "k"; ver = (10, 1) });
   M.note_kill mon ~ts:2_000 ~replica:"r0";
   M.observe mon ~ts:3_000 (M.Watermark { replica = "r1"; wm = (2, 0) });
   Alcotest.(check int) "r1 regression still caught" 1 (M.n_violations mon);
+  M.observe mon ~ts:3_000
+    (M.Gc_survivor { replica = "r1"; key = "k"; newest = None; wm = (1, 0) });
+  Alcotest.(check int) "r1 lost write still caught" 2 (M.n_violations mon);
   (match M.incidents mon with
   | [ a; b ] ->
     Alcotest.(check string) "incident kind" "kill" a.M.in_kind;

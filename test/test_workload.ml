@@ -378,6 +378,223 @@ let test_key_builders_match_printf () =
       (Tpcc.k_order_line 1 (i mod 10) i (i mod 15))
   done
 
+(* ---- One-pass codecs against the Stdlib forms they replaced ---- *)
+
+module Dec = Workload.Dec
+
+(* The split-based implementations, kept as oracles. *)
+let split_decode s =
+  if String.equal s "" then [||] else Array.of_list (String.split_on_char '|' s)
+
+let split_get_int t i =
+  let f = if i < Array.length t then t.(i) else "" in
+  match int_of_string_opt f with Some n -> n | None -> 0
+
+let split_tpcc_partition ~home_group ~n_groups key =
+  match String.split_on_char ':' key with
+  | "i" :: _ -> home_group
+  | _ :: w :: _ -> (
+    match int_of_string_opt w with Some w -> (w - 1) mod n_groups | None -> 0)
+  | _ -> 0
+
+let split_smallbank_partition ~n_groups key =
+  match String.split_on_char ':' key with
+  | [ _; c ] -> (match int_of_string_opt c with Some c -> c mod n_groups | None -> 0)
+  | _ -> 0
+
+let edge_ints = [ min_int; min_int + 1; -1; 0; 1; max_int - 1; max_int ]
+
+let qcheck_dec_to_string =
+  QCheck.Test.make ~name:"Dec writers equal string_of_int" ~count:2_000
+    QCheck.(
+      make ~print:Print.(list int)
+        Gen.(
+          list_size (return 4)
+            (frequency
+               [ (3, int); (2, small_signed_int); (1, oneofl edge_ints) ])))
+    (fun ints ->
+      let s = List.map string_of_int ints in
+      List.for_all (fun n -> String.equal (Dec.to_string n) (string_of_int n)) ints
+      &&
+      match ints with
+      | [ a; b; c; d ] ->
+        String.equal (Dec.cat1 "p:" a) ("p:" ^ List.nth s 0)
+        && String.equal (Dec.cat2 ':' "" a b) (String.concat ":" [ List.nth s 0; List.nth s 1 ])
+        && String.equal (Dec.cat3 '-' "cust-" a b c)
+             ("cust-" ^ String.concat "-" (List.filteri (fun i _ -> i < 3) s))
+        && String.equal (Dec.cat4 '|' "" a b c d) (String.concat "|" s)
+      | _ -> false)
+
+let test_dec_edges () =
+  List.iter
+    (fun n -> Alcotest.(check string) (string_of_int n) (string_of_int n) (Dec.to_string n))
+    edge_ints
+
+(* Fields that [int_of_string_opt] treats specially: signs, bases,
+   underscores, leading zeros, the 18/19-digit overflow edge. *)
+let tricky_fields =
+  [ ""; "0"; "7"; "-"; "+"; "+5"; "-7"; "--1"; "0x1f"; "0X1F"; "0b101"; "0o17"; "0u12";
+    "1_000"; "_1"; "007"; " 1"; "1 "; "abc"; "BC"; "123456789012345678";
+    "999999999999999999"; "1000000000000000000"; "4611686018427387903";
+    "4611686018427387904"; "-4611686018427387904"; "-4611686018427387905";
+    "99999999999999999999999"; "0x7fffffffffffffff"; "0x8000000000000000" ]
+
+let gen_field =
+  QCheck.Gen.(
+    frequency
+      [ (3, oneofl tricky_fields);
+        (2, string_size ~gen:numeral (0 -- 22));
+        (1, string_size ~gen:(oneofl [ '0'; '1'; '-'; '+'; 'x'; '_'; 'a' ]) (0 -- 6)) ])
+
+let gen_row = QCheck.Gen.(map (String.concat "|") (list_size (0 -- 6) gen_field))
+
+let qcheck_field_int =
+  QCheck.Test.make ~name:"Row.field_int equals get_int of decode" ~count:3_000
+    QCheck.(make ~print:Print.(pair string int) Gen.(pair gen_row (0 -- 8)))
+    (fun (s, i) -> Row.field_int s i = split_get_int (split_decode s) i)
+
+let qcheck_row_codec =
+  QCheck.Test.make ~name:"Row.encode/decode equal concat/split" ~count:2_000
+    QCheck.(
+      make ~print:Print.(pair (array string) string)
+        Gen.(
+          pair
+            (array_size (0 -- 6) (string_size ~gen:(oneofl [ 'a'; '1'; ' ' ]) (0 -- 4)))
+            (string_size ~gen:(oneofl [ 'a'; '|'; '1' ]) (0 -- 12))))
+    (fun (fields, s) ->
+      String.equal (Row.encode fields) (String.concat "|" (Array.to_list fields))
+      && Row.decode s = split_decode s
+      && Row.get_int (Row.decode s) 1 = split_get_int (split_decode s) 1)
+
+(* Native code only: a key costs its own string and nothing more
+   (3 words for up to 15 bytes), and reading a field in place or
+   routing a key allocates nothing. *)
+let test_codec_allocation () =
+  if Sys.backend_type = Sys.Native then begin
+    let n = 1_000 and sink = ref 0 in
+    let words f =
+      let w0 = Gc.minor_words () in
+      for i = 1 to n do
+        sink := !sink + f (Sys.opaque_identity i)
+      done;
+      (Gc.minor_words () -. w0) /. float_of_int n
+    in
+    let row = "17|1|5|8750" in
+    let check name budget f =
+      let w = words f in
+      if w > budget then Alcotest.failf "%s allocates %.1f words per call (budget %.0f)" name w budget
+    in
+    check "k_order_line" 3. (fun i -> String.length (Tpcc.k_order_line 1 (i mod 10) i 3));
+    check "Dec.to_string" 2. (fun i -> String.length (Dec.to_string i));
+    check "Row.field_int" 0. (fun i -> Row.field_int row (i land 3));
+    check "tpcc partition" 0. (fun i ->
+        Tpcc.partition_of_key ~home_group:0 ~n_groups:3 (if i land 1 = 0 then "s:2:99" else "i:7"));
+    ignore !sink
+  end
+
+let gen_key =
+  QCheck.Gen.(
+    string_size
+      ~gen:(oneofl [ 'i'; ':'; '0'; '1'; '2'; '9'; '-'; 'x'; '_'; 'w' ])
+      (0 -- 10))
+
+let partitions_agree key =
+  List.for_all
+    (fun n_groups ->
+      List.for_all
+        (fun home_group ->
+          Tpcc.partition_of_key ~home_group ~n_groups key
+          = split_tpcc_partition ~home_group ~n_groups key)
+        [ 0; 1; n_groups - 1 ]
+      && Workload.Smallbank.partition_of_key ~n_groups key
+         = split_smallbank_partition ~n_groups key)
+    [ 1; 2; 3; 5 ]
+
+let qcheck_partition_of_key =
+  QCheck.Test.make ~name:"partition_of_key equals the split version" ~count:3_000
+    QCheck.(
+      make ~print:Print.string
+        Gen.(
+          frequency
+            [ (4, gen_key);
+              (1, oneofl [ ""; "i"; "i:"; ":"; "::"; "i:x"; "x:i"; "w:"; "w:0";
+                           "w:-1"; "chk:"; "chk:1:2"; "s:0x1f:3"; "s:1_0:2";
+                           "d:99999999999999999999:1" ]) ]))
+    partitions_agree
+
+let test_partition_initial_keys () =
+  let keys =
+    List.map fst (Tpcc.initial_data small_conf)
+    @ List.map fst
+        (Workload.Smallbank.initial_data
+           { Workload.Smallbank.default_conf with n_customers = 50 })
+  in
+  List.iter
+    (fun k -> if not (partitions_agree k) then Alcotest.failf "partition of %S differs" k)
+    keys
+
+(* The per-transaction [Hashtbl] versions of the distinct-draw loops,
+   kept as oracles: the same ids, in the same order, from the same RNG
+   draws. *)
+let table_pick_keys rng zipf n =
+  let seen = Hashtbl.create 8 in
+  let rec go acc remaining guard =
+    if remaining = 0 || guard = 0 then acc
+    else
+      let i = Sim.Dist.zipf_sample zipf rng in
+      if Hashtbl.mem seen i then go acc remaining (guard - 1)
+      else begin
+        Hashtbl.add seen i ();
+        go (Retwis.key i :: acc) (remaining - 1) (guard - 1)
+      end
+  in
+  go [] n (n * 100)
+
+let table_distinct_items (conf : Tpcc.conf) rng n =
+  let pick_item () =
+    1 + (Sim.Dist.nurand rng ~a:8191 ~x:1 ~y:conf.n_items - 1) mod conf.n_items
+  in
+  let seen = Hashtbl.create 8 in
+  let rec pick acc remaining =
+    if remaining = 0 then acc
+    else
+      let i = pick_item () in
+      if Hashtbl.mem seen i then pick acc remaining
+      else begin
+        Hashtbl.add seen i ();
+        pick (i :: acc) (remaining - 1)
+      end
+  in
+  pick [] (min n conf.n_items)
+
+let test_distinct_draws_match_tables () =
+  let same_rng a b = Sim.Rng.int a 1_000_000 = Sim.Rng.int b 1_000_000 in
+  List.iter
+    (fun n_keys ->
+      let zipf = Sim.Dist.zipf ~n:n_keys ~theta:0.9 in
+      for seed = 1 to 300 do
+        let a = Sim.Rng.create seed and b = Sim.Rng.create seed in
+        for n = 1 to 10 do
+          let got = Retwis.pick_keys a zipf n and want = table_pick_keys b zipf n in
+          Alcotest.(check (list string)) "retwis keys" want got
+        done;
+        Alcotest.(check bool) "retwis draws" true (same_rng a b)
+      done)
+    [ 3; 20; 1_000 ];
+  List.iter
+    (fun n_items ->
+      let conf = { small_conf with Tpcc.n_items } in
+      for seed = 1 to 300 do
+        let a = Sim.Rng.create seed and b = Sim.Rng.create seed in
+        for n = 1 to 15 do
+          let got = Tpcc.distinct_items conf a n
+          and want = table_distinct_items conf b n in
+          Alcotest.(check (list int)) "tpcc items" want got
+        done;
+        Alcotest.(check bool) "tpcc draws" true (same_rng a b)
+      done)
+    [ 3; 10; 100 ]
+
 (* ---- YCSB extension ---- *)
 
 let test_ycsb_plan_mix () =
@@ -448,6 +665,18 @@ let suites =
         Alcotest.test_case "retwis initial data" `Quick test_retwis_initial_data;
         Alcotest.test_case "key builders match printf" `Quick
           test_key_builders_match_printf;
+        Alcotest.test_case "partition of initial keys" `Quick test_partition_initial_keys;
+        Alcotest.test_case "distinct draws match tables" `Quick
+          test_distinct_draws_match_tables;
+      ] );
+    ( "workload.codec",
+      [
+        Alcotest.test_case "dec edges" `Quick test_dec_edges;
+        Alcotest.test_case "allocation" `Quick test_codec_allocation;
+        QCheck_alcotest.to_alcotest qcheck_dec_to_string;
+        QCheck_alcotest.to_alcotest qcheck_field_int;
+        QCheck_alcotest.to_alcotest qcheck_row_codec;
+        QCheck_alcotest.to_alcotest qcheck_partition_of_key;
       ] );
     ( "workload.ycsb",
       [

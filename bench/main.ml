@@ -6,8 +6,8 @@
    Targets: table1 table2 table3 fig6 fig7 fig8 fig9 headline ablation
             micro all (default: all), plus the regression gate:
             bench-baseline (print a multi-seed run ledger) and
-            bench-check FILE (statistically gate against a committed
-            ledger).  Run `help` for the full list and flags.
+            bench-check FILE (byte-compare it with a committed ledger).
+            Run `help` for the full list and flags.
 
    --jobs N fans independent experiment points across N worker domains
    (0 = recommended_domain_count - 1); every table, figure, CSV and
@@ -49,14 +49,11 @@ let measure_us =
   | None -> 1_000_000
 
 (* The seed set: every bench point derives its PRNG seed(s) from here.
-   --seed-base moves the whole set; --seeds widens the ledger's
-   replication (tables/figures always use the base seed alone, so their
-   output stays byte-stable for the default base). *)
+   --seed-base moves the whole set; the ledger replicates over five
+   seeds from it, tables and figures use the base seed alone. *)
 let seed_base = ref 42
 
-let n_seeds = ref 5
-
-let seed_set () = List.init (max 1 !n_seeds) (fun i -> !seed_base + i)
+let seed_set () = List.init 5 (fun i -> !seed_base + i)
 
 let base_exp () =
   {
@@ -451,25 +448,21 @@ let smallbank () =
 (* `bench-baseline` replicates one fixed high-contention point (the    *)
 (* contended end of Fig. 9: YCSB, 1k keys, Zipf theta 1.2, 48 clients, *)
 (* 2 cores) across the seed set on all four systems, fanned over       *)
-(* --jobs worker domains, and prints a schema-versioned run ledger     *)
-(* (Obs.Ledger) on stdout; the output is committed as                  *)
-(* bench/LEDGER.json.  Every metric is a per-seed sample array.  The   *)
-(* deterministic section (goodput, latency percentiles, commit/abort/  *)
-(* re-exec counters, engine event + heap counters, lineage digest,     *)
-(* profile fractions) is a pure function of the simulated schedule —   *)
-(* byte-identical across hosts and --jobs.  perfbench measures host    *)
-(* speed.                                                              *)
+(* --jobs worker domains, and prints the run ledger (Obs.Ledger) on    *)
+(* stdout; the output is committed as bench/LEDGER.json.  Every metric *)
+(* is a per-seed sample array (goodput, latency percentiles, commit/   *)
+(* abort/re-exec counters, engine event + heap counters, lineage       *)
+(* digest, profile fractions), a pure function of the simulated        *)
+(* schedule: byte-identical across hosts and --jobs.  perfbench        *)
+(* measures host speed.                                                *)
 (*                                                                     *)
-(* `bench-check FILE` rebuilds a fresh ledger with the same seed set   *)
-(* and compares it against FILE with bootstrap confidence intervals    *)
-(* and a Bonferroni-corrected Mann-Whitney U test per metric,          *)
-(* printing a PASS/DRIFT/REGRESS attribution table.  Only REGRESS      *)
-(* (significant, CIs disjoint, shift beyond the floor) fails; DRIFT    *)
-(* is reported but never fatal.  Wired into `dune runtest` via the     *)
-(* bench-smoke alias; refresh the baseline with                        *)
+(* `bench-check FILE` renders a fresh ledger and passes only when FILE *)
+(* equals it byte for byte; otherwise it names the first differing     *)
+(* system, metric and seed with both values.  Wired into `dune         *)
+(* runtest` via the bench-smoke alias; refresh the baseline with       *)
 (*   dune exec bench/main.exe -- bench-baseline > bench/LEDGER.json    *)
-(* when a change is intentional (see EXPERIMENTS.md, "Statistical      *)
-(* methodology").                                                      *)
+(* when a change is intentional (see EXPERIMENTS.md, "The exact ledger *)
+(* gate").                                                             *)
 (* ------------------------------------------------------------------ *)
 
 let gate_exp sys seed =
@@ -488,24 +481,14 @@ let gate_exp sys seed =
 
 let ledger_point = "ycsb-hot"
 
-(* Canonical parameter string behind the manifest's config hash.  The
-   seed set is deliberately NOT part of it: comparing the same point
-   across disjoint seed sets is exactly what the statistical gate is
-   for, and must not be refused as incomparable. *)
+(* Canonical parameter string of the bench point, the ledger's first
+   line; the seed set is its second. *)
 let ledger_config () =
   Printf.sprintf
     "ledger point=%s workload=ycsb:n_keys=1000,theta=1.2 clients=48 cores=2 \
      warmup_us=100000 measure_us=300000 systems=%s"
     ledger_point
     (String.concat "," (List.map Run.system_name Run.all_systems))
-
-let git_describe () =
-  match Unix.open_process_in "git describe --always --dirty 2>/dev/null" with
-  | ic ->
-    let line = try input_line ic with End_of_file -> "" in
-    ignore (Unix.close_process_in ic);
-    if line = "" then "unknown" else line
-  | exception _ -> "unknown"
 
 (* One seed's row: the standard ledger projection of the run plus the
    critical-path profile fractions the old PR4 baseline gated (all
@@ -565,43 +548,26 @@ let build_ledger () =
         Obs.Ledger.entry ~system:name ~point:ledger_point mine)
       Run.all_systems
   in
-  Obs.Ledger.make ~config:(ledger_config ()) ~seeds ~describe:(git_describe ())
-    entries
+  Obs.Ledger.make ~config:(ledger_config ()) ~seeds entries
 
-let bench_baseline () = print_string (Obs.Ledger.to_json (build_ledger ()))
+let bench_baseline () = print_string (Obs.Ledger.render (build_ledger ()))
 
 let bench_check path =
-  match Obs.Ledger.load path with
-  | Error e ->
-    Printf.eprintf "bench-check: %s: %s\n" path (Obs.Ledger.error_to_string e);
-    exit (Obs.Ledger.error_exit_code e)
-  | Ok baseline ->
-    let current = build_ledger () in
-    let c = Obs.Ledger.compare_ledgers ~baseline ~current () in
-    Format.printf "%a" Obs.Ledger.pp_verdict_table c;
-    if not c.Obs.Ledger.c_config_match then begin
-      Printf.printf
-        "bench-check: config hash mismatch — %s describes a different bench \
-         point.  Refresh it:\n\
-        \  dune exec bench/main.exe -- bench-baseline > bench/LEDGER.json\n"
-        path;
-      exit 1
-    end;
-    if c.Obs.Ledger.c_regressions > 0 then begin
-      Printf.printf
-        "bench-check: %d metric(s) REGRESS with statistical significance.  \
-         Ask for the full account with\n\
-        \  dune exec bin/morty_report.exe -- explain BASELINE CURRENT SYSTEM \
-         METRIC\n\
-         and refresh the baseline if the change is intentional:\n\
-        \  dune exec bench/main.exe -- bench-baseline > bench/LEDGER.json\n"
-        c.Obs.Ledger.c_regressions;
-      exit 1
-    end
-    else
-      Printf.printf "bench-check: no regressions vs %s (%d DRIFT, seed set %s)\n"
-        path c.Obs.Ledger.c_drifts
-        (if c.Obs.Ledger.c_seeds_match then "identical" else "disjoint")
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error msg ->
+    Printf.eprintf "bench-check: %s\n" msg;
+    exit 3
+  | committed -> (
+    match Obs.Ledger.first_mismatch ~committed (build_ledger ()) with
+    | None -> Printf.printf "bench-check: %s matches the fresh ledger\n" path
+    | Some m ->
+      Format.printf
+        "bench-check: %s differs from the fresh ledger at@.%a\
+         A ledger metric changed, so behaviour changed.  If that is \
+         intended, refresh the baseline:@.\
+        \  dune exec bench/main.exe -- bench-baseline > bench/LEDGER.json@."
+        path Obs.Ledger.pp_mismatch m;
+      exit 1)
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks for the core data structures.             *)
@@ -700,16 +666,15 @@ let usage () =
     \  ycsb smallbank failover micro all (default: all)\n\
     \  bench-baseline      print a multi-seed run ledger (commit as\n\
     \                      bench/LEDGER.json)\n\
-    \  bench-check FILE    rebuild the ledger and statistically gate it\n\
-    \                      against FILE (exit 1 on REGRESS)\n\
+    \  bench-check FILE    rebuild the ledger and byte-compare it with\n\
+    \                      FILE (exit 1 on a difference, 3 if unreadable)\n\
     \  help                this text\n\n\
      flags:\n\
     \  --jobs N               fan points over N worker domains (0 = auto)\n\
-    \  --seeds N              ledger seed-set size (default 5)\n\
-    \  --seed-base N          first seed of the set (default 42; also the\n\
-    \                         seed of every table/figure point)\n"
+    \  --seed-base N          first of the ledger's five seeds (default 42;\n\
+    \                         also the seed of every table/figure point)\n"
 
-(* Strip --jobs N / --jobs=N, --seeds N and --seed-base N from the argv
+(* Strip --jobs N / --jobs=N and --seed-base N from the argv
    target list, setting the matching globals; everything else
    dispatches as before.  A malformed value is a usage error (exit 2). *)
 let rec parse_flags acc = function
@@ -717,9 +682,6 @@ let rec parse_flags acc = function
   | "--jobs" :: n :: rest -> set_jobs n; parse_flags acc rest
   | arg :: rest when String.length arg > 7 && String.sub arg 0 7 = "--jobs=" ->
     set_jobs (String.sub arg 7 (String.length arg - 7));
-    parse_flags acc rest
-  | "--seeds" :: n :: rest ->
-    set_int "--seeds" n_seeds n;
     parse_flags acc rest
   | "--seed-base" :: n :: rest ->
     set_int "--seed-base" seed_base n;
@@ -778,7 +740,8 @@ let () =
   go targets;
   Option.iter Orchestrate.Pool.shutdown !pool;
   (* Throughput report on stderr only: stdout carries the tables,
-     figures and baseline verdicts and must not depend on --jobs. *)
+     figures, the ledger and the gate result, and must not depend on
+     --jobs. *)
   if !n_rows > 0 then
     Fmt.epr "%s@."
       (Orchestrate.Report.to_string

@@ -162,10 +162,10 @@ let lineage_out =
 
 let ledger_out =
   Out_flags.ledger_out
-    "Write the run as a schema-versioned run ledger (one entry \
-     per point, single-seed samples) to $(docv).  Feed the file \
-     to $(b,morty_report) to compare runs statistically or plot \
-     metric trajectories.  Stdout is byte-identical with or \
+    "Write the run as a run ledger (one line per point and \
+     metric, single-seed samples) to $(docv).  Two runs behave \
+     alike exactly when their ledgers are byte-identical, so \
+     $(b,diff) compares them.  Stdout is byte-identical with or \
      without this flag."
 
 let monitors =
@@ -392,7 +392,7 @@ let run system setup workload theta keys warehouses read_pct clients cores
         cores duration_ms warmup_ms
     in
     Out_flags.write path
-      (Obs.Ledger.to_json (Obs.Ledger.make ~config ~seeds:[ seed ] entries)));
+      (Obs.Ledger.render (Obs.Ledger.make ~config ~seeds:[ seed ] entries)));
   (* Throughput report on stderr only: stdout is the diff surface. *)
   Fmt.epr "%s@."
     (Orchestrate.Report.to_string

@@ -171,13 +171,13 @@ let postmortem_out =
 
 let ledger_out =
   Out_flags.ledger_out
-    "Write the sweep's passing runs as a schema-versioned run \
-     ledger to $(docv): one entry per system, every metric a \
-     sample array across the system's runs (seeds x schedules, \
-     submission order).  Feed the file to $(b,morty_report) to \
-     compare sweeps statistically.  Stdout is byte-identical \
-     with or without this flag; with --scaling it reflects the \
-     first sweep only."
+    "Write the sweep's passing runs as a run ledger to \
+     $(docv): one line per system and metric, a sample array \
+     across the system's runs (seeds x schedules, submission \
+     order).  Two sweeps behave alike exactly when their ledgers \
+     are byte-identical.  Stdout is byte-identical with or \
+     without this flag; with --scaling it reflects the first \
+     sweep only."
 
 let run systems workload_names seeds seed_base schedules episodes clients cores
     measure_ms smoke no_kill partitions max_staleness_us monitors quiet jobs
@@ -377,7 +377,7 @@ let run systems workload_names seeds seed_base schedules episodes clients cores
         (String.concat "," (List.map Harness.Run.system_name systems))
     in
     Out_flags.write path
-      (Obs.Ledger.to_json
+      (Obs.Ledger.render
          (Obs.Ledger.make ~config ~seeds:cfg.Explore.Sweep.seeds entries)));
   Fmt.epr "%s@." (Orchestrate.Report.to_string report);
   (match measured with

@@ -17,8 +17,8 @@ let usage () =
     \       morty_inspect hot-keys FILE [N]\n\
     \       morty_inspect cascades FILE\n\
     \       morty_inspect diff FILE_A FILE_B\n\
-     exit codes: 0 ok, 1 malformed artifact, 2 usage, 3 missing file,\n\
-    \            4 empty artifact (no lineage records)";
+     exit codes: 0 ok, 2 usage, 3 missing file,\n\
+    \            4 empty or malformed artifact";
   exit 2
 
 let read_file path =
@@ -37,7 +37,7 @@ let load path =
   | recs -> recs
   | exception Failure msg ->
     Printf.eprintf "morty_inspect: %s: %s\n" path msg;
-    exit 1
+    exit 4
 
 let explain path spec =
   match Obs.Lineage.ver_of_string spec with

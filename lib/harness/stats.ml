@@ -162,8 +162,8 @@ let abort_count r reason =
   match List.assoc_opt reason r.r_aborts_by with Some n -> n | None -> 0
 
 (* One seed's ledger row.  Order is part of the artifact: the ledger
-   commits metric names in this order and the det projection is
-   byte-diffed, so only ever append. *)
+   renders metric lines in this order and the gate byte-compares them,
+   so only ever append. *)
 let ledger_metrics r =
   let f = float_of_int in
   let hp = r.r_engstat.Obs.Engstat.es_det.Obs.Engstat.de_heap in

@@ -153,11 +153,12 @@ val abort_count : result -> Obs.Abort_reason.t -> int
 
 val ledger_metrics : result -> (string * float) list
 (** The run-ledger projection of a result: one seed's metrics, in the
-    fixed order {!Obs.Ledger} commits them — goodput, latency
-    percentiles, commit/abort/re-exec counters, engine event + heap
-    counters, lineage digest.  A pure function of the simulated
-    schedule: byte-identical across hosts and [--jobs].  Lineage fields
-    are all zero when the run had no recorder attached. *)
+    fixed order {!Obs.Ledger} renders them, one line each — goodput,
+    latency percentiles, commit/abort/re-exec counters, engine event +
+    heap counters, lineage digest.  A pure function of the simulated
+    schedule: byte-identical across hosts and [--jobs], which the
+    exact ledger gate relies on.  Lineage fields are all zero when the
+    run had no recorder attached. *)
 
 val pp_result_header : Format.formatter -> unit -> unit
 

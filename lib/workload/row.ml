@@ -56,10 +56,7 @@ let field_int s i =
   let a = if len = 0 then -1 else field_start s len 0 i in
   if a < 0 then 0 else Dec.int_of_sub s a (Dec.index_or_end s a '|' - a)
 
-let set t i v =
-  let t' = Array.copy t in
-  t'.(i) <- v;
-  t'
+let set t i v = t.(i) <- v
 
 let set_int t i v = set t i (Dec.to_string v)
 

@@ -21,10 +21,11 @@ val field_int : string -> int -> int
 (** [field_int s i] is [get_int (decode s) i], read in place from the
     encoded row without decoding it.  [i] must be non-negative. *)
 
-val set : t -> int -> string -> t
-(** Functional update (copies). *)
+val set : t -> int -> string -> unit
+(** In-place update of a decoded row: [decode] returns a fresh array,
+    so a transaction updates its own copy and encodes it once. *)
 
-val set_int : t -> int -> int -> t
+val set_int : t -> int -> int -> unit
 
-val add_int : t -> int -> int -> t
-(** [add_int row i delta] increments an integer field. *)
+val add_int : t -> int -> int -> unit
+(** [add_int row i delta] increments an integer field in place. *)

@@ -234,10 +234,8 @@ module Make (C : Cc_types.Kv_api.S) = struct
             C.get_for_update client ctx (k_district w d) (fun ctx drow ->
                 let drow = Row.decode drow in
                 let o_id = Row.get_int drow d_next_o_id in
-                let ctx =
-                  C.put client ctx (k_district w d)
-                    (Row.encode (Row.set_int drow d_next_o_id (o_id + 1)))
-                in
+                Row.set_int drow d_next_o_id (o_id + 1);
+                let ctx = C.put client ctx (k_district w d) (Row.encode drow) in
                 C.get client ctx (k_customer w d c) (fun ctx _crow ->
                     if rollback then begin
                       C.abort client ctx;
@@ -254,13 +252,10 @@ module Make (C : Cc_types.Kv_api.S) = struct
                                 if on_hand >= qty + 10 then on_hand - qty
                                 else on_hand - qty + 91
                               in
-                              let srow = Row.set_int srow s_quantity on_hand in
-                              let srow = Row.add_int srow s_ytd qty in
-                              let srow = Row.add_int srow s_order_cnt 1 in
-                              let srow =
-                                if supply <> w then Row.add_int srow s_remote_cnt 1
-                                else srow
-                              in
+                              Row.set_int srow s_quantity on_hand;
+                              Row.add_int srow s_ytd qty;
+                              Row.add_int srow s_order_cnt 1;
+                              if supply <> w then Row.add_int srow s_remote_cnt 1;
                               let ctx = C.put client ctx (k_stock supply i) (Row.encode srow) in
                               let ctx =
                                 C.put client ctx (k_order_line w d o_id n)
@@ -304,20 +299,18 @@ module Make (C : Cc_types.Kv_api.S) = struct
     C.begin_ client (fun ctx ->
         C.get_for_update client ctx (k_warehouse w) (fun ctx wrow ->
             let wrow = Row.decode wrow in
-            let ctx =
-              C.put client ctx (k_warehouse w) (Row.encode (Row.add_int wrow w_ytd amount))
-            in
+            Row.add_int wrow w_ytd amount;
+            let ctx = C.put client ctx (k_warehouse w) (Row.encode wrow) in
             C.get_for_update client ctx (k_district w d) (fun ctx drow ->
                 let drow = Row.decode drow in
-                let ctx =
-                  C.put client ctx (k_district w d) (Row.encode (Row.add_int drow d_ytd amount))
-                in
+                Row.add_int drow d_ytd amount;
+                let ctx = C.put client ctx (k_district w d) (Row.encode drow) in
                 with_customer ctx (fun ctx c ->
                     C.get_for_update client ctx (k_customer c_w c_d c) (fun ctx crow ->
                         let crow = Row.decode crow in
-                        let crow = Row.add_int crow c_balance (-amount) in
-                        let crow = Row.add_int crow c_ytd_payment amount in
-                        let crow = Row.add_int crow c_payment_cnt 1 in
+                        Row.add_int crow c_balance (-amount);
+                        Row.add_int crow c_ytd_payment amount;
+                        Row.add_int crow c_payment_cnt 1;
                         let ctx = C.put client ctx (k_customer c_w c_d c) (Row.encode crow) in
                         let ctx =
                           C.put client ctx (k_history w d c uniq) (Dec.to_string amount)
@@ -366,10 +359,8 @@ module Make (C : Cc_types.Kv_api.S) = struct
                       let orow = Row.decode orow in
                       let c = Row.get_int orow o_c_id in
                       let ol_cnt = Row.get_int orow o_ol_cnt in
-                      let ctx =
-                        C.put client ctx (k_order w d lo)
-                          (Row.encode (Row.set_int orow o_carrier carrier))
-                      in
+                      Row.set_int orow o_carrier carrier;
+                      let ctx = C.put client ctx (k_order w d lo) (Row.encode orow) in
                       let lines = List.init ol_cnt (fun n -> n + 1) in
                       fold_each ctx lines 0
                         (fun ctx total n k ->
@@ -378,8 +369,8 @@ module Make (C : Cc_types.Kv_api.S) = struct
                         (fun ctx total ->
                           C.get_for_update client ctx (k_customer w d c) (fun ctx crow ->
                               let crow = Row.decode crow in
-                              let crow = Row.add_int crow c_balance total in
-                              let crow = Row.add_int crow c_delivery_cnt 1 in
+                              Row.add_int crow c_balance total;
+                              Row.add_int crow c_delivery_cnt 1;
                               let ctx = C.put client ctx (k_customer w d c) (Row.encode crow) in
                               let ctx = C.put client ctx (k_new_order w d lo) "" in
                               let ctx =

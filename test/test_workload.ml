@@ -18,10 +18,12 @@ let test_row_absent () =
   Alcotest.(check int) "decode empty" 0 (Array.length (Row.decode ""))
 
 let test_row_int_fields () =
-  let row = [| "x"; "10" |] in
-  let row = Row.add_int row 1 5 in
+  let row = Row.decode "x|10" in
+  Row.add_int row 1 5;
   Alcotest.(check int) "added" 15 (Row.get_int row 1);
-  Alcotest.(check string) "other field untouched" "x" (Row.get row 0)
+  Alcotest.(check string) "other field untouched" "x" (Row.get row 0);
+  Row.set_int row 0 7;
+  Alcotest.(check string) "set in place" "7|15" (Row.encode row)
 
 let test_row_get_out_of_range () =
   Alcotest.(check string) "oob" "" (Row.get [| "a" |] 3);

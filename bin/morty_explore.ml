@@ -171,10 +171,11 @@ let postmortem_out =
 
 let ledger_out =
   Out_flags.ledger_out
-    "Write the sweep's passing runs as a run ledger to \
-     $(docv): one line per system and metric, a sample array \
-     across the system's runs (seeds x schedules, submission \
-     order).  Two sweeps behave alike exactly when their ledgers \
+    "Write the sweep's runs as a run ledger to $(docv): one line \
+     per system, case (workload and fault-free or schedule i) and \
+     metric, holding one sample per explorer seed in seed order.  \
+     A failed run reads audit_pass=0 and 0 for every other \
+     metric.  Two sweeps behave alike exactly when their ledgers \
      are byte-identical.  Stdout is byte-identical with or \
      without this flag; with --scaling it reflects the first \
      sweep only."
@@ -262,17 +263,25 @@ let run systems workload_names seeds seed_base schedules episodes clients cores
         + ev.Harness.Stats.ev_tickers
     | Error _ -> ()
   in
-  (* Per-system ledger rows, in submission order (the progress callback
-     fires in submission order whatever --jobs is, so the artifact is
-     deterministic). *)
-  let ledger_rows = ref [] in
+  (* Ledger rows keyed by (system, workload, case index), in submission
+     order: the progress callback fires in submission order whatever
+     --jobs is, and each (system, workload, seed) submits its cases 0
+     (fault-free) to [schedules_per_seed] in a row, so a running count
+     names the index.  A failed run has no metrics ([None]). *)
+  let ledger_rows = ref [] and ledger_runs = ref 0 in
   let collect_ledger case _prof outcome =
-    match outcome with
-    | Ok r when ledger_out <> None ->
+    if ledger_out <> None then begin
+      let index = !ledger_runs mod (cfg.Explore.Sweep.schedules_per_seed + 1) in
+      incr ledger_runs;
+      let metrics =
+        match outcome with
+        | Ok r -> Some (Harness.Stats.ledger_metrics r)
+        | Error _ -> None
+      in
       ledger_rows :=
-        (case.Explore.Case.c_system, Harness.Stats.ledger_metrics r)
+        ((case.Explore.Case.c_system, case.Explore.Case.c_workload, index), metrics)
         :: !ledger_rows
-    | Ok _ | Error _ -> ()
+    end
   in
   let timed_sweep ~jobs ~transcript =
     let progress c p o =
@@ -347,22 +356,39 @@ let run systems workload_names seeds seed_base schedules episodes clients cores
   | None -> ()
   | Some path ->
     let rows = List.rev !ledger_rows in
+    (* One point per case, one sample per seed: a failed run reports 0
+       for every metric its point's passing runs report, so every array
+       lines up with the header's seeds. *)
+    let entry sys wname index =
+      let key = (sys, wname, index) in
+      match List.filter_map (fun (k, m) -> if k = key then Some m else None) rows with
+      | [] -> None
+      | samples ->
+        let names =
+          match List.find_map Fun.id samples with
+          | Some m -> List.map fst m
+          | None -> []
+        in
+        let row = function
+          | Some m -> ("audit_pass", 1.) :: m
+          | None -> ("audit_pass", 0.) :: List.map (fun n -> (n, 0.)) names
+        in
+        let point =
+          if index = 0 then wname ^ " fault-free"
+          else Printf.sprintf "%s schedule %d" wname index
+        in
+        Some
+          (Obs.Ledger.entry ~system:(Harness.Run.system_name sys) ~point
+             (List.map row samples))
+    in
     let entries =
-      List.filter_map
+      List.concat_map
         (fun sys ->
-          let mine =
-            List.filter_map
-              (fun (s, row) -> if s = sys then Some row else None)
-              rows
-          in
-          match mine with
-          | [] -> None
-          | mine ->
-            Some
-              (Obs.Ledger.entry
-                 ~system:(Harness.Run.system_name sys)
-                 ~point:(String.concat "," workload_names)
-                 mine))
+          List.concat_map
+            (fun wname ->
+              List.filter_map (entry sys wname)
+                (List.init (cfg.Explore.Sweep.schedules_per_seed + 1) Fun.id))
+            workload_names)
         systems
     in
     let config =

@@ -348,10 +348,11 @@ and arm_prepare_timer t txn p round =
     Sim.Backoff.equal_jitter t.rng ~base_us:t.cfg.prepare_timeout_us
       ~attempt:round ()
   in
+  let ver = txn.ver in
   let timer =
     Engine.schedule t.engine ~after:delay (fun () ->
-        match txn.phase with
-        | Preparing p' when p' == p && not txn.finished ->
+        match Hashtbl.find_opt t.txns ver with
+        | Some ({ phase = Preparing p'; _ } as txn) when p' == p ->
           p.p_forced <- true;
           if List.length p.p_votes >= t.cfg.f + 1 then evaluate_votes t txn p
           else begin
@@ -365,7 +366,7 @@ and arm_prepare_timer t txn p round =
                  });
             arm_prepare_timer t txn p (round + 1)
           end
-        | Preparing _ | Executing | Finalizing _ | Done -> ())
+        | Some _ | None -> ())
   in
   p.p_timer <- Some timer
 
@@ -416,15 +417,16 @@ and start_finalize t txn eid decision =
   let f = { f_eid = eid; f_decision = decision; f_ackers = []; f_fired = false } in
   close_segment t txn;
   txn.phase <- Finalizing f;
-  broadcast t (Msg.Finalize { ver = txn.ver; eid; view = 0; decision });
+  let ver = txn.ver in
+  broadcast t (Msg.Finalize { ver; eid; view = 0; decision });
   let rec retry () =
     ignore
       (Engine.schedule t.engine ~after:t.cfg.prepare_timeout_us (fun () ->
-           match txn.phase with
-           | Finalizing f' when f' == f && not f.f_fired && not txn.finished ->
-             broadcast t (Msg.Finalize { ver = txn.ver; eid; view = 0; decision });
+           match Hashtbl.find_opt t.txns ver with
+           | Some { phase = Finalizing f'; _ } when f' == f && not f.f_fired ->
+             broadcast t (Msg.Finalize { ver; eid; view = 0; decision });
              retry ()
-           | Finalizing _ | Executing | Preparing _ | Done -> ()))
+           | Some _ | None -> ()))
   in
   retry ()
 
@@ -677,11 +679,12 @@ let rec ro_try_pin t st =
     let n = Array.length t.replicas in
     let dst = t.replicas.((t.closest_ix + st.rs_attempt) mod n) in
     send t dst (Msg.Ro_pin { ro_id = st.rs_id });
-    let at = st.rs_attempt in
+    let id = st.rs_id and at = st.rs_attempt in
     ignore
       (Engine.schedule t.engine ~after:t.cfg.prepare_timeout_us (fun () ->
-           if (not st.rs_done) && st.rs_txn = None && st.rs_attempt = at then
-             ro_advance t st))
+           match Hashtbl.find_opt t.ro_pins id with
+           | Some st when st.rs_txn = None && st.rs_attempt = at -> ro_advance t st
+           | Some _ | None -> ()))
   end
 
 and ro_advance t st =
@@ -689,7 +692,12 @@ and ro_advance t st =
   if st.rs_attempt >= ro_attempt_cap t then ro_exhausted t st
   else begin
     let wait = ro_backoff t st.rs_attempt in
-    ignore (Engine.schedule t.engine ~after:wait (fun () -> ro_try_pin t st))
+    let id = st.rs_id in
+    ignore
+      (Engine.schedule t.engine ~after:wait (fun () ->
+           match Hashtbl.find_opt t.ro_pins id with
+           | Some st -> ro_try_pin t st
+           | None -> ()))
   end
 
 (* Graceful degradation's floor: no reachable replica could serve within
@@ -887,6 +895,15 @@ let begin_ t body =
     emit t (Obs.Bus.Begin { ver = Version.to_pair ver; ro = false });
   body { c_txn = txn; c_eid = 0 }
 
+(* Whether the read sent with sequence number [seq] is still listed in
+   [txn]'s slots and unanswered.  Read timers look their transaction up
+   by version and their slot by [seq] when they fire, instead of
+   capturing either: a slot's continuation reaches the whole execution,
+   which would otherwise stay reachable from the event queue until the
+   timer fires, long after the transaction finished. *)
+let unanswered txn seq =
+  List.exists (fun s -> s.s_seq = seq && s.s_reply = None) txn.slots
+
 (* Snapshot read of a pinned follower-read transaction: all reads go to
    the one pinned replica, which serves them at the snapshot (or
    answers [Ro_stale], triggering a re-pin). *)
@@ -918,11 +935,14 @@ let ro_get t ctx key cont =
         (Msg.Ro_get { snap = txn.ver; key; seq; ro_id = p.rp_id });
       (* If the pinned replica goes silent (crash, partition), re-pin
          the whole transaction elsewhere rather than retrying here: any
-         other replica's snapshot differs, so partial reads are void. *)
+         other replica's snapshot differs, so partial reads are void.
+         Follower reads never re-execute, so the slot stays listed. *)
+      let ver = txn.ver and rp_id = p.rp_id in
       ignore
         (Engine.schedule t.engine ~after:t.cfg.prepare_timeout_us (fun () ->
-             if (not txn.finished) && slot.s_reply = None then
-               ro_unreachable t p.rp_id txn)))
+             match Hashtbl.find_opt t.txns ver with
+             | Some txn when unanswered txn seq -> ro_unreachable t rp_id txn
+             | Some _ | None -> ())))
   | Some (Ro_doomed _) | None -> cont ctx ""
 
 let get t ctx key cont =
@@ -964,19 +984,18 @@ let get t ctx key cont =
         txn.ops <- txn.ops @ [ Op_read slot.s_index ];
         send t t.closest (Msg.Get { ver = txn.ver; key; seq; eid = txn.eid });
         (* Reads normally go only to the closest replica; if it is
-           unreachable (crash, partition), retry on the others. *)
+           unreachable (crash, partition), retry on the others.  A
+           re-execution that unrolls past this read drops its slot. *)
+        let ver = txn.ver in
         let rec retry attempt =
           ignore
             (Engine.schedule t.engine ~after:t.cfg.prepare_timeout_us (fun () ->
-                 if
-                   (not txn.finished) && slot.s_reply = None
-                   && List.memq slot txn.slots
-                 then begin
+                 match Hashtbl.find_opt t.txns ver with
+                 | Some txn when unanswered txn seq ->
                    let dst = t.replicas.(attempt mod Array.length t.replicas) in
-                   send t dst
-                     (Msg.Get { ver = txn.ver; key; seq; eid = txn.eid });
+                   send t dst (Msg.Get { ver; key; seq; eid = txn.eid });
                    retry (attempt + 1)
-                 end))
+                 | Some _ | None -> ()))
         in
         retry 0)
   end

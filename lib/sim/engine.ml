@@ -7,7 +7,9 @@ type kind = Timer | Delivery | Ticker
    still equals its [seq]: a cancelled one stays queued as a ghost until
    it reaches the top, and a slot is reused only after its entry has
    been popped.  So the per-event path allocates nothing and writes no
-   pointer outside the slab. *)
+   pointer outside the slab.  [cancel] overwrites a ghost's action with
+   [ghost], a static closure, so a cancelled event keeps nothing of its
+   closure reachable while it waits to be drained. *)
 type t = {
   queue : (unit -> unit) Heap.t;
   mutable stamps : int array;
@@ -110,10 +112,13 @@ let schedule_at t ?(kind = Timer) ~at f = enqueue t kind ~at:(Int.max at t.clock
 let schedule t ?(kind = Timer) ~after f =
   enqueue t kind ~at:(t.clock + Int.max 0 after) f
 
+let ghost () = ()
+
 let cancel t timer =
   let slot = timer land slot_mask in
   if slot < Array.length t.stamps && t.stamps.(slot) = timer lsr slot_bits then begin
     t.stamps.(slot) <- -1;
+    Heap.replace_slot t.queue slot ghost;
     t.cancels <- t.cancels + 1;
     t.live <- t.live - 1
   end

@@ -38,7 +38,8 @@ val cancel : t -> timer -> unit
     event is live: cancelling a fired or already-cancelled timer is a
     no-op, also once its heap slot holds a later event.  The cancelled
     event stays queued as a ghost until it reaches the top (see
-    {!raw_pending}). *)
+    {!raw_pending}); its action is released at once, so the ghost keeps
+    nothing the action captured reachable. *)
 
 val pending : t -> int
 (** Number of {e live} events still queued.  Cancelled-but-undrained

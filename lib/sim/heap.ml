@@ -1,5 +1,5 @@
 (* Keys and values are stored apart.  Each queued value lives in a slot
-   of the [slab]: written once by [push], reset to [filler] once by
+   of the [slab]: written by [push], reset to [vacant] once by
    [remove_min], never moved in between.  The heap proper is three
    unboxed [int] arrays indexed by heap position -- [times], [seqs] and
    [slots] (the slab slot of the entry) -- so a sift compares and moves
@@ -11,22 +11,24 @@
    stack of free slots, its top at [size].  A push takes the slot at
    [size]; a removal pushes the freed slot back at the new [size].
 
-   Free slots hold [filler], the value whose push first sized the
-   arrays, so at most that one value can stay reachable after it leaves
-   the heap. *)
+   Free slots hold [vacant], an immediate, so no value stays reachable
+   after it leaves the heap.  An immediate filler also lets [grow]'s
+   [Array.make] allocate a large slab directly in the major heap: a
+   young block as filler would first force a minor collection. *)
 type 'a t = {
   mutable times : int array;
   mutable seqs : int array;
   mutable slots : int array;
   mutable slab : 'a array;
-  mutable filler : 'a option;
   mutable size : int;
   mutable max_size : int;
 }
 
+(* Only ever stored in free slots, which are never read as ['a]. *)
+let vacant () : 'a = Obj.magic 0
+
 let create () =
-  { times = [||]; seqs = [||]; slots = [||]; slab = [||]; filler = None;
-    size = 0; max_size = 0 }
+  { times = [||]; seqs = [||]; slots = [||]; slab = [||]; size = 0; max_size = 0 }
 
 let length t = t.size
 let max_size t = t.max_size
@@ -34,9 +36,8 @@ let is_empty t = t.size = 0
 
 (* Called only when every slot is occupied ([size = capacity]), so the
    new slots [cap, cap') are exactly the new free stack. *)
-let grow t v =
+let grow t =
   let cap = Array.length t.times in
-  let filler = match t.filler with Some f -> f | None -> v in
   let cap' = if cap = 0 then 16 else cap * 2 in
   let extend a fill =
     let a' = Array.make cap' fill in
@@ -46,14 +47,13 @@ let grow t v =
   t.times <- extend t.times 0;
   t.seqs <- extend t.seqs 0;
   t.slots <- extend t.slots 0;
-  t.slab <- extend t.slab filler;
+  t.slab <- extend t.slab (vacant ());
   for s = cap to cap' - 1 do
     Array.unsafe_set t.slots s s
-  done;
-  t.filler <- Some filler
+  done
 
 let push_slot t ~time ~seq v =
-  if t.size = Array.length t.times then grow t v;
+  if t.size = Array.length t.times then grow t;
   let times = t.times and seqs = t.seqs and slots = t.slots in
   let i = ref t.size in
   let slot = Array.unsafe_get slots !i in
@@ -81,6 +81,10 @@ let push_slot t ~time ~seq v =
 
 let push t ~time ~seq v = ignore (push_slot t ~time ~seq v : int)
 
+let replace_slot t slot v =
+  if slot < 0 || slot >= Array.length t.slab then invalid_arg "Heap.replace_slot";
+  Array.unsafe_set t.slab slot v
+
 let min_time t =
   if t.size = 0 then invalid_arg "Heap.min_time: empty heap";
   Array.unsafe_get t.times 0
@@ -98,7 +102,7 @@ let remove_min t =
   let times = t.times and seqs = t.seqs and slots = t.slots in
   let freed = Array.unsafe_get slots 0 in
   let min = Array.unsafe_get t.slab freed in
-  (match t.filler with Some f -> Array.unsafe_set t.slab freed f | None -> ());
+  Array.unsafe_set t.slab freed (vacant ());
   let n = t.size - 1 in
   t.size <- n;
   if n > 0 then begin

@@ -337,21 +337,34 @@ let fr_doom txn (fr : fr_state) reason =
     List.iter (fun (_, (p : pend)) -> p.pd_cont { c_txn = txn } "") pend
   end
 
+(* The live follower-read transaction [ro_id] with its redirect state
+   and the still-pending read [seq], for a read timer that fires.
+   Timers capture ids rather than [txn]: its read continuations reach
+   the whole body, which would otherwise stay reachable from the event
+   queue long after the transaction finished. *)
+let fr_pending t ro_id seq =
+  match Hashtbl.find_opt t.ro_txns ro_id with
+  | Some ({ frs = Some fr; _ } as txn) when fr.fr_doomed = None -> (
+    match List.assoc_opt seq txn.pending with
+    | Some p -> Some (txn, fr, p)
+    | None -> None)
+  | Some _ | None -> None
+
 let rec fr_send_read t txn (fr : fr_state) seq (p : pend) =
   let g = t.partition p.pd_key in
   let members = t.groups.(g) in
   let n = Array.length members in
   let dst = members.((t.closest_ix.(g) + fr.fr_redirect.(g)) mod n) in
-  send t dst (Msg.Ro_read { ro_id = txn.ro_id; key = p.pd_key; ts = txn.ro_ts; seq });
+  let ro_id = txn.ro_id in
+  send t dst (Msg.Ro_read { ro_id; key = p.pd_key; ts = txn.ro_ts; seq });
   let tries = p.pd_tries in
   ignore
     (Engine.schedule t.engine ~after:t.cfg.prepare_timeout_us (fun () ->
          (* Unchanged [pd_tries] means no reply and no redirect landed in
             the meantime: treat the replica as unreachable. *)
-         if
-           (not txn.finished) && fr.fr_doomed = None && p.pd_tries = tries
-           && List.mem_assoc seq txn.pending
-         then fr_redirect_read t txn fr seq p))
+         match fr_pending t ro_id seq with
+         | Some (txn, fr, p) when p.pd_tries = tries -> fr_redirect_read t txn fr seq p
+         | Some _ | None -> ()))
 
 and fr_redirect_read t txn (fr : fr_state) seq (p : pend) =
   if (not txn.finished) && fr.fr_doomed = None then begin
@@ -367,12 +380,12 @@ and fr_redirect_read t txn (fr : fr_state) seq (p : pend) =
         Sim.Backoff.full_jitter t.rng ~base_us:5_000 ~cap_us:160_000
           ~attempt:p.pd_tries
       in
+      let ro_id = txn.ro_id in
       ignore
         (Engine.schedule t.engine ~after:wait (fun () ->
-             if
-               (not txn.finished) && fr.fr_doomed = None
-               && List.mem_assoc seq txn.pending
-             then fr_send_read t txn fr seq p))
+             match fr_pending t ro_id seq with
+             | Some (txn, fr, p) -> fr_send_read t txn fr seq p
+             | None -> ()))
     end
   end
 

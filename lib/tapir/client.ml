@@ -258,15 +258,19 @@ let rec evaluate_group t txn (g : group_state) ~forced =
       broadcast_group t g.g_index (Msg.Finalize { txn = txn.id; vote = Msg.V_commit })
     end
 
-and arm_commit_timer t txn gs =
+(* Timers capture the transaction's id and look it up when they fire:
+   capturing [txn] would keep its read continuations, and so the whole
+   body, reachable from the event queue long after it finished. *)
+and arm_commit_timer t id gs =
   ignore
     (Engine.schedule t.engine ~after:t.cfg.prepare_timeout_us (fun () ->
-         if not txn.finished then begin
+         match Hashtbl.find_opt t.txns id with
+         | Some txn -> (
            List.iter (fun g -> evaluate_group t txn g ~forced:true) gs;
            match txn.phase with
-           | Committing _ when not txn.finished -> arm_commit_timer t txn gs
-           | Committing _ | Executing | Done -> ()
-         end))
+           | Committing _ when not txn.finished -> arm_commit_timer t id gs
+           | Committing _ | Executing | Done -> ())
+         | None -> ()))
 
 let deliver_read t txn (p : pend) key w_ver value seq =
   txn.pending <- List.remove_assoc seq txn.pending;
@@ -303,20 +307,29 @@ let ro_doom _t txn (ro : ro_state) reason =
     List.iter (fun (_, (p : pend)) -> p.pd_cont { c_txn = txn } "") pend
   end
 
+(* The live follower-read transaction [id] with its snapshot state and
+   the still-pending read [seq], for a read timer that fires. *)
+let ro_pending t id seq =
+  match Hashtbl.find_opt t.txns id with
+  | Some ({ ro = Some ro; _ } as txn) when ro.ro_doomed = None -> (
+    match List.assoc_opt seq txn.pending with
+    | Some p -> Some (txn, ro, p)
+    | None -> None)
+  | Some _ | None -> None
+
 let rec ro_send_read t txn (ro : ro_state) seq (p : pend) =
   let g = t.partition p.pd_key in
   let n = n_per_group t in
   let dst = t.groups.(g).((t.closest_ix.(g) + ro.ro_redirect.(g)) mod n) in
   send t dst (Msg.Ro_read { txn = txn.id; key = p.pd_key; seq; snap = ro.ro_snap });
-  let tries = p.pd_tries in
+  let id = txn.id and tries = p.pd_tries in
   ignore
     (Engine.schedule t.engine ~after:t.cfg.prepare_timeout_us (fun () ->
          (* Unchanged [pd_tries] means no reply and no redirect landed in
             the meantime: treat the replica as unreachable. *)
-         if
-           (not txn.finished) && ro.ro_doomed = None && p.pd_tries = tries
-           && List.mem_assoc seq txn.pending
-         then ro_redirect_read t txn ro seq p))
+         match ro_pending t id seq with
+         | Some (txn, ro, p) when p.pd_tries = tries -> ro_redirect_read t txn ro seq p
+         | Some _ | None -> ()))
 
 and ro_redirect_read t txn (ro : ro_state) seq (p : pend) =
   if (not txn.finished) && ro.ro_doomed = None then begin
@@ -332,12 +345,12 @@ and ro_redirect_read t txn (ro : ro_state) seq (p : pend) =
         Sim.Backoff.full_jitter t.rng ~base_us:5_000 ~cap_us:160_000
           ~attempt:p.pd_tries
       in
+      let id = txn.id in
       ignore
         (Engine.schedule t.engine ~after:wait (fun () ->
-             if
-               (not txn.finished) && ro.ro_doomed = None
-               && List.mem_assoc seq txn.pending
-             then ro_send_read t txn ro seq p))
+             match ro_pending t id seq with
+             | Some (txn, ro, p) -> ro_send_read t txn ro seq p
+             | None -> ()))
     end
   end
 
@@ -634,5 +647,5 @@ let commit t ctx cont =
             (Msg.Prepare
                { txn = txn.id; reads = List.rev txn.reads; writes = dedup_writes }))
         parts;
-      arm_commit_timer t txn gs
+      arm_commit_timer t txn.id gs
   end

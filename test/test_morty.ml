@@ -523,8 +523,48 @@ let qcheck_random_contention_serializable =
       Sim.Engine.run c.engine;
       Adya.Dsg.is_serializable (history_of c))
 
+(* A queued retry timer must not keep a finished transaction alive: the
+   Get retry, the cancelled Prepare timer and the Finalize retry are all
+   still queued when a fast-path commit fires its outcome.  [marker] is
+   captured only by the body and the outcome continuation, so once the
+   outcome has run it must be collectable. *)
+let start_marked_txn client weak =
+  let marker = ref 0 and outcome = ref None in
+  Weak.set weak 0 (Some marker);
+  Morty.Client.begin_ client (fun ctx ->
+      Morty.Client.get client ctx "x" (fun ctx v ->
+          let ctx = Morty.Client.put client ctx "x" (v ^ "1") in
+          Morty.Client.commit client ctx (fun o ->
+              incr marker;
+              outcome := Some o)));
+  outcome
+[@@inline never]
+
+let test_finished_txn_collectable cfg () =
+  let c = make_cluster ~cfg () in
+  load c [ ("x", "0") ];
+  let client = make_client c in
+  let weak = Weak.create 1 in
+  let outcome = start_marked_txn client weak in
+  while !outcome = None && Sim.Engine.step c.engine do
+    ()
+  done;
+  Alcotest.(check bool) "committed" true (!outcome = Some Outcome.Committed);
+  Gc.full_major ();
+  Alcotest.(check bool) "finished transaction collected" false (Weak.check weak 0);
+  (* Checked after the collection, which keeps the queue reachable. *)
+  Alcotest.(check bool) "timers still queued" true (Sim.Engine.pending c.engine > 0)
+
 let suites =
   [
+    ( "morty.timers",
+      [
+        Alcotest.test_case "finished transaction is collectable while its timers are queued"
+          `Quick (test_finished_txn_collectable Morty.Config.default);
+        Alcotest.test_case
+          "mvtso: finished transaction is collectable while its timers are queued" `Quick
+          (test_finished_txn_collectable (Morty.Config.mvtso Morty.Config.default));
+      ] );
     ( "morty.basic",
       [
         Alcotest.test_case "single txn commits" `Quick test_single_txn_commits;

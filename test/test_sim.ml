@@ -502,8 +502,10 @@ let test_engine_schedule_step_allocation_free () =
   end
 
 (* Popped values must not stay reachable through vacated heap slots.
-   40 pushes grow the arrays twice (16 -> 32 -> 64); after 39 pops only
-   the value that first sized the arrays may survive a full major GC. *)
+   40 pushes grow the arrays twice (16 -> 32 -> 64); after 39 pops none
+   of the popped values may survive a full major GC -- not even the one
+   whose push first sized the arrays.  The engine's queue is checked the
+   same way: 40 fired actions, none left reachable. *)
 let fill_and_drain h weak =
   for i = 0 to 39 do
     let v = ref i in
@@ -515,20 +517,64 @@ let fill_and_drain h weak =
   done
 [@@inline never]
 
+let schedule_and_fire e weak =
+  for i = 0 to 39 do
+    let v = ref i in
+    Weak.set weak i (Some v);
+    ignore (Engine.schedule e ~after:i (fun () -> incr v))
+  done;
+  Engine.run e
+[@@inline never]
+
+let alive_in weak n =
+  List.filter (fun i -> Weak.check weak i) (List.init n Fun.id)
+
+let check_none_alive what alive =
+  Alcotest.(check (list int)) (what ^ " still reachable") [] alive
+
 let test_heap_releases_popped () =
   let h = Heap.create () and weak = Weak.create 40 in
   fill_and_drain h weak;
+  let e = Engine.create () and fired = Weak.create 40 in
+  schedule_and_fire e fired;
   Gc.full_major ();
-  let alive = ref [] in
-  for i = 0 to 38 do
-    if Weak.check weak i then alive := i :: !alive
-  done;
+  check_none_alive "popped values" (alive_in weak 39);
+  check_none_alive "fired actions" (alive_in fired 40);
+  (* Checked after the collection, which keeps both queues reachable. *)
   Alcotest.(check int) "one value still queued" 1 (Heap.length h);
-  Alcotest.(check bool)
-    (Printf.sprintf "popped values reachable: [%s]"
-       (String.concat "; " (List.rev_map string_of_int !alive)))
-    true
-    (List.length !alive <= 1)
+  Alcotest.(check int) "all fired" 40 (Engine.events_fired e)
+
+(* [caml_make_vect] empties the minor heap before filling a large array
+   with a young block; the slab's filler is an immediate, so growing the
+   queue well past 256 slots never forces a minor collection. *)
+let test_engine_growth_no_minor_gc () =
+  let e = Engine.create () and sink = ref 0 in
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).minor_collections in
+  for i = 1 to 600 do
+    ignore (Engine.schedule e ~after:i (fun () -> sink := !sink + i))
+  done;
+  let after = (Gc.quick_stat ()).minor_collections in
+  Alcotest.(check int) "minor collections while scheduling" 0 (after - before);
+  Alcotest.(check int) "all queued" 600 (Engine.pending e)
+
+(* A cancelled event stays queued as a ghost, but its action -- and so
+   whatever the action captured -- is released at once. *)
+let schedule_and_cancel e weak =
+  let v = ref 0 in
+  Weak.set weak 0 (Some v);
+  Engine.cancel e (Engine.schedule e ~after:1_000 (fun () -> incr v))
+[@@inline never]
+
+let test_engine_cancel_releases_action () =
+  let e = Engine.create () and weak = Weak.create 1 in
+  schedule_and_cancel e weak;
+  Gc.full_major ();
+  Alcotest.(check int) "ghost still queued" 1 (Engine.raw_pending e);
+  Alcotest.(check int) "no live event" 0 (Engine.pending e);
+  Alcotest.(check bool) "cancelled action collected" false (Weak.check weak 0);
+  Engine.run e;
+  Alcotest.(check int) "ghost drained" 0 (Engine.raw_pending e)
 
 let suites =
   [
@@ -574,6 +620,10 @@ let suites =
         Alcotest.test_case "pending counts cancelled" `Quick
           test_engine_pending_counts_cancelled;
         Alcotest.test_case "cancel idempotent" `Quick test_engine_cancel_idempotent;
+        Alcotest.test_case "cancel releases the action" `Quick
+          test_engine_cancel_releases_action;
+        Alcotest.test_case "queue growth forces no minor collection" `Quick
+          test_engine_growth_no_minor_gc;
         Alcotest.test_case "cancel after fire" `Quick test_engine_cancel_after_fire;
         Alcotest.test_case "cancel stale handle" `Quick test_engine_cancel_stale_handle;
         Alcotest.test_case "cancel interleaved" `Quick test_engine_cancel_interleaved;

@@ -311,6 +311,45 @@ let qcheck_spanner_serializable =
       Sim.Engine.run c.engine;
       Adya.Dsg.is_serializable (history_of c))
 
+(* Spanner's long timers are the follower-read timeouts: one stays
+   queued after a snapshot read commits.  It must hold ids, not the
+   transaction, so the body and the outcome continuation (the only
+   holders of [marker]) are collectable once the outcome has run. *)
+let start_marked_ro client weak =
+  let marker = ref 0 and outcome = ref None in
+  Weak.set weak 0 (Some marker);
+  Spanner.Client.begin_ro client (fun ctx ->
+      Spanner.Client.get client ctx "x" (fun ctx _ ->
+          Spanner.Client.commit client ctx (fun o ->
+              incr marker;
+              outcome := Some o)));
+  outcome
+[@@inline never]
+
+let test_finished_txn_collectable () =
+  let cfg = { Spanner.Config.default with max_staleness_us = 1_000_000 } in
+  let c = make_cluster ~cfg () in
+  load c [ ("x", "0") ];
+  let client =
+    Spanner.Client.create ~cfg ~engine:c.engine ~net:c.net ~rng:(Sim.Rng.split c.rng)
+      ~region:(Simnet.Latency.Az 0)
+      ~leaders:(Array.map (fun g -> Spanner.Replica.node g.(0)) c.groups)
+      ~groups:(Array.map (Array.map Spanner.Replica.node) c.groups)
+      ~partition:c.partition ()
+  in
+  (* Let the snapshot timestamp (now - eps) cover the load. *)
+  Sim.Engine.run_until c.engine ~limit:50_000;
+  let weak = Weak.create 1 in
+  let outcome = start_marked_ro client weak in
+  while !outcome = None && Sim.Engine.step c.engine do
+    ()
+  done;
+  Alcotest.(check bool) "committed" true (!outcome = Some Outcome.Committed);
+  Gc.full_major ();
+  Alcotest.(check bool) "finished transaction collected" false (Weak.check weak 0);
+  (* Checked after the collection, which keeps the queue reachable. *)
+  Alcotest.(check bool) "timers still queued" true (Sim.Engine.pending c.engine > 0)
+
 let suites =
   [
     ( "spanner.locks",
@@ -332,6 +371,8 @@ let suites =
         Alcotest.test_case "older wounds younger" `Quick test_older_wounds_younger_holder;
         Alcotest.test_case "read-only snapshot" `Quick test_read_only_snapshot;
         Alcotest.test_case "multi-group 2pc" `Quick test_multi_group_2pc;
+        Alcotest.test_case "finished transaction is collectable while its timers are queued"
+          `Quick test_finished_txn_collectable;
         QCheck_alcotest.to_alcotest qcheck_spanner_serializable;
       ] );
   ]

@@ -182,6 +182,37 @@ let qcheck_tapir_serializable =
       Sim.Engine.run c.engine;
       Adya.Dsg.is_serializable (history_of c))
 
+(* TAPIR's commit timer stays queued after a fast-path commit; it must
+   hold the transaction's id, not the transaction, so the body and the
+   outcome continuation (the only holders of [marker]) are collectable
+   once the outcome has run. *)
+let start_marked_txn client weak =
+  let marker = ref 0 and outcome = ref None in
+  Weak.set weak 0 (Some marker);
+  Tapir.Client.begin_ client (fun ctx ->
+      Tapir.Client.get client ctx "x" (fun ctx v ->
+          let ctx = Tapir.Client.put client ctx "x" (v ^ "1") in
+          Tapir.Client.commit client ctx (fun o ->
+              incr marker;
+              outcome := Some o)));
+  outcome
+[@@inline never]
+
+let test_finished_txn_collectable () =
+  let c = make_cluster () in
+  load c [ ("x", "0") ];
+  let client = make_client c in
+  let weak = Weak.create 1 in
+  let outcome = start_marked_txn client weak in
+  while !outcome = None && Sim.Engine.step c.engine do
+    ()
+  done;
+  Alcotest.(check bool) "committed" true (!outcome = Some Outcome.Committed);
+  Gc.full_major ();
+  Alcotest.(check bool) "finished transaction collected" false (Weak.check weak 0);
+  (* Checked after the collection, which keeps the queue reachable. *)
+  Alcotest.(check bool) "timers still queued" true (Sim.Engine.pending c.engine > 0)
+
 let suites =
   [
     ( "tapir",
@@ -191,6 +222,8 @@ let suites =
         Alcotest.test_case "multi group" `Quick test_multi_group;
         Alcotest.test_case "stale read aborts" `Quick test_stale_read_aborts;
         Alcotest.test_case "read-only commits" `Quick test_read_only_commits;
+        Alcotest.test_case "finished transaction is collectable while its timers are queued"
+          `Quick test_finished_txn_collectable;
         QCheck_alcotest.to_alcotest qcheck_tapir_serializable;
       ] );
   ]

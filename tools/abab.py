@@ -16,7 +16,11 @@ audit or prints no result, the script stops without reporting and exits
 1.  Otherwise it prints, per metric, each side's median [Q1, Q3], the
 change of the medians, a distribution-free 95 % confidence interval of
 the median per-pair change (sign-test order statistics; it needs at
-least 6 pairs) and how many pairs CHANGE won.
+least 6 pairs), how many pairs CHANGE won and a verdict: `gain` when
+CHANGE won at least nine tenths of all pairs (ties count for neither
+side) and its median is better than BASE's by more than BASE's
+interquartile range, `loss` for the same rule in the worse direction,
+`none` otherwise.
 
 The default metrics are BENCHMARK.json's end-to-end ones, with their
 better direction.  --metric picks others: any name in perfbench's JSON
@@ -119,6 +123,25 @@ def fmt_ci(changes):
     return "[%+.1f %%, %+.1f %%]" % (ci[0], ci[1])
 
 
+def verdict(base, change, direction):
+    """`gain`, `loss` or `none` for one metric's paired samples.
+
+    A side holds when it won at least nine tenths of all pairs (ties
+    count for neither) and the medians differ in its favour by more
+    than the distance between BASE's quartiles."""
+    n = len(base)
+    sign = -1 if direction == "lower" else 1
+    won = sum(1 for b, c in zip(base, change) if sign * (c - b) > 0)
+    lost = sum(1 for b, c in zip(base, change) if sign * (c - b) < 0)
+    bm, bq1, bq3 = quartiles(base)
+    delta = sign * (quartiles(change)[0] - bm)
+    if 10 * won >= 9 * n and delta > bq3 - bq1:
+        return "gain"
+    if 10 * lost >= 9 * n and -delta > bq3 - bq1:
+        return "loss"
+    return "none"
+
+
 def main():
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("base")
@@ -155,8 +178,8 @@ def main():
     print("workload %s, %d pairs, seeds %s, %gs runs, --trace %d"
           % (args.workload, args.pairs, args.seeds, args.seconds, args.trace))
     print("| metric | base | change | change of median "
-          "| 95 % CI of per-pair change | pairs won |")
-    print("|---|---|---|---|---|---|")
+          "| 95 % CI of per-pair change | pairs won | verdict |")
+    print("|---|---|---|---|---|---|---|")
     for name, direction in metrics:
         if any(name not in s for side in samples.values() for s in side):
             sys.exit("abab: metric %s missing from some run" % name)
@@ -166,9 +189,10 @@ def main():
                   if (y < x if direction == "lower" else y > x))
         (bm, bq1, bq3), (cm, cq1, cq3) = quartiles(b), quartiles(c)
         rel = "%+.1f %%" % (100 * (cm - bm) / bm) if bm else "n/a"
-        print("| `%s` | %s [%s, %s] | %s [%s, %s] | %s | %s | %d/%d |"
+        print("| `%s` | %s [%s, %s] | %s [%s, %s] | %s | %s | %d/%d | %s |"
               % (name, fmt(bm), fmt(bq1), fmt(bq3), fmt(cm), fmt(cq1),
-                 fmt(cq3), rel, fmt_ci(pair_changes(b, c)), won, len(b)))
+                 fmt(cq3), rel, fmt_ci(pair_changes(b, c)), won, len(b),
+                 verdict(b, c, direction)))
 
 
 if __name__ == "__main__":

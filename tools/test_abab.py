@@ -55,5 +55,38 @@ class SignTestCI(unittest.TestCase):
         self.assertEqual(abab.fmt_ci(changes[:5]), "n/a")
 
 
+class Verdict(unittest.TestCase):
+    # BASE: median 10, quartiles 9.625 and 10.5, so its IQR is 0.875.
+    BASE = [9.0, 10.0, 11.0, 9.5, 10.5, 9.0, 11.0, 10.0, 10.0, 10.5]
+
+    def test_gain_needs_nine_of_ten_and_the_iqr(self):
+        change = [b - 2.0 for b in self.BASE]
+        self.assertEqual(abab.verdict(self.BASE, change, "lower"), "gain")
+        self.assertEqual(abab.verdict(self.BASE, change, "higher"), "loss")
+
+    def test_consistent_but_smaller_than_the_iqr_is_none(self):
+        change = [b - 0.5 for b in self.BASE]
+        self.assertEqual(abab.verdict(self.BASE, change, "lower"), "none")
+
+    def test_eight_of_ten_is_none(self):
+        change = [b - 2.0 for b in self.BASE]
+        change[0] = self.BASE[0] + 1.0
+        change[1] = self.BASE[1] + 1.0
+        self.assertEqual(abab.verdict(self.BASE, change, "lower"), "none")
+        change[1] = self.BASE[1] - 2.0
+        self.assertEqual(abab.verdict(self.BASE, change, "lower"), "gain")
+
+    def test_ties_count_for_neither_side(self):
+        change = [b - 2.0 for b in self.BASE]
+        change[0] = self.BASE[0]
+        change[1] = self.BASE[1]
+        self.assertEqual(abab.verdict(self.BASE, change, "lower"), "none")
+
+    def test_higher_is_better(self):
+        change = [b + 3.0 for b in self.BASE]
+        self.assertEqual(abab.verdict(self.BASE, change, "higher"), "gain")
+        self.assertEqual(abab.verdict(self.BASE, self.BASE, "higher"), "none")
+
+
 if __name__ == "__main__":
     unittest.main()

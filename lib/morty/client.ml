@@ -33,6 +33,7 @@ and prep = {
   mutable p_votes : (Net.node * Vote.t) list;
   mutable p_timer : Engine.timer option;
   mutable p_forced : bool;
+  mutable p_round : int;  (** resends so far *)
 }
 
 and fin = {
@@ -42,28 +43,18 @@ and fin = {
   mutable f_fired : bool;
 }
 
-and phase = Executing | Preparing of prep | Finalizing of fin | Done
+and phase = Executing | Preparing of prep | Finalizing of fin
 
 and txn = {
-  ver : Version.t;
+  life : Chassis.life;  (** its [ver] is the transaction's version *)
   mutable eid : int;
   mutable slots : slot list;  (** program order *)
   mutable ops : op list;  (** program order *)
   mutable phase : phase;
   mutable reexec_count : int;
   mutable next_seq : int;
-  mutable commit_cont : (Outcome.t -> unit) option;
-  mutable finished : bool;
-  t_start_us : int;
-  (* Observability: classified cause of the latest abandon vote, start
-     of the currently open phase segment, accumulated per-phase time,
-     and whether the open execute segment came from a re-execution. *)
   mutable t_reason : Obs.Abort_reason.t option;
-  mutable ph_start_us : int;
-  mutable exec_us : int;
-  mutable prep_us : int;
-  mutable fin_us : int;
-  mutable seg_reexec : bool;
+      (** classified cause of the latest abandon vote *)
   ro : ro_mode option;  (** [Some] marks a follower-read transaction *)
 }
 
@@ -97,15 +88,12 @@ type stats = {
 type record = Cc_types.Txn_record.t
 
 type t = {
+  c : (txn, Msg.t) Chassis.t;
   cfg : Config.t;
-  engine : Engine.t;
-  net : Msg.t Net.t;
   clock : Sim.Clock.t;
   rng : Sim.Rng.t;
-  node : Net.node;
   replicas : int array;
   closest : Net.node;
-  closest_ix : int;
   mutable last_ts : int;
   txns : (Version.t, txn) Hashtbl.t;
   (* Follower-read pin series in flight, keyed by pin id. *)
@@ -115,89 +103,19 @@ type t = {
      (ver, eid) -> acks so far. *)
   abandon_acks : (Version.t * int, Net.node list ref) Hashtbl.t;
   stats : stats;
-  obs : Obs.Bus.t;
-  (* Critical-path attribution: the transaction the closed-loop driver
-     is currently running (one at a time per client), its component
-     cells, and the end of the last attributed wait interval. *)
-  mutable c_cur : txn option;
-  mutable c_comps : int array;
-  mutable c_last_ev : int;
-  on_finish : (record -> unit) option;
+  prepare_timeout : txn -> unit;
+      (** the prepare timer's action, allocated once per client *)
 }
 
-let node t = t.node
+let node t = t.c.node
 let stats t = t.stats
-let last_comps t = t.c_comps
-
-let phase_row txn =
-  match txn.phase with
-  | Executing -> Obs.Profile.phase_index Obs.Profile.P_execute
-  | Preparing _ -> Obs.Profile.phase_index Obs.Profile.P_prepare
-  | Finalizing _ -> Obs.Profile.phase_index Obs.Profile.P_finalize
-  | Done -> Obs.Profile.phase_index Obs.Profile.P_execute
-
-(* Charge the wait since the last progress point to the current
-   transaction's phase, decomposed along the provenance of the message
-   being delivered right now ([None] from timer callbacks).  Exhaustive:
-   every microsecond of a transaction's life at this client lands in
-   exactly one component cell. *)
-let profile_wait t reply =
-  match t.c_cur with
-  | None -> ()
-  | Some txn ->
-    let now = Engine.now t.engine in
-    Obs.Profile.attribute ~comps:t.c_comps ~phase:(phase_row txn)
-      ~t0:t.c_last_ev ~t1:now reply;
-    t.c_last_ev <- now
-
-let profile_arrival t =
-  let reply =
-    match Net.current_delivery t.net with
-    | Some d ->
-      Some
-        ( d.Net.di_send_us,
-          d.di_path.Net.p_transit_us,
-          d.di_path.Net.p_queue_us,
-          d.di_path.Net.p_service_us )
-    | None -> None
-  in
-  profile_wait t reply
-
-let send t dst msg = Net.send t.net ~src:t.node ~dst msg
+let last_comps t = t.c.comps
+let ver txn = txn.life.Chassis.ver
+let emit t ev = Chassis.emit t.c ev
+let send t dst msg = Chassis.send t.c dst msg
 let broadcast t msg = Array.iter (fun dst -> send t dst msg) t.replicas
-
-let stale ctx = ctx.c_eid <> ctx.c_txn.eid || ctx.c_txn.finished
-
-(* --- Observability helpers --------------------------------------------- *)
-
-let emit t ev = Obs.Bus.emit t.obs ~ts:(Engine.now t.engine) ~pid:t.node ev
-
-(* Close the currently open phase segment, crediting its duration to the
-   right accumulator and emitting its span.  Called at every phase
-   transition and at completion. *)
-let close_segment t txn =
-  let now = Engine.now t.engine in
-  let dur = now - txn.ph_start_us in
-  let name =
-    match txn.phase with
-    | Executing ->
-      txn.exec_us <- txn.exec_us + dur;
-      if txn.seg_reexec then "reexecute" else "execute"
-    | Preparing _ ->
-      txn.prep_us <- txn.prep_us + dur;
-      "prepare"
-    | Finalizing _ ->
-      txn.fin_us <- txn.fin_us + dur;
-      "finalize"
-    | Done -> "done"
-  in
-  if Obs.Bus.on t.obs && txn.phase <> Done then
-    emit t
-      (Obs.Bus.Phase
-         { ver = Version.to_pair txn.ver; name; start_us = txn.ph_start_us;
-           eid = Some txn.eid });
-  txn.ph_start_us <- now;
-  txn.seg_reexec <- false
+let stale ctx = ctx.c_eid <> ctx.c_txn.eid || Chassis.ended ctx.c_txn.life
+let switch t txn seg = Chassis.switch t.c txn.life ~eid:txn.eid seg
 
 let note_reason txn reason =
   match reason with
@@ -228,21 +146,21 @@ let write_set_of txn =
          | Op_read _ -> None)
        txn.ops)
 
+let history =
+  {
+    Chassis.reads =
+      (fun txn -> List.map (fun (r : Rwset.read) -> (r.key, r.r_ver)) (read_set_of txn));
+    writes = (fun txn -> List.map (fun (w : Rwset.write) -> w.key) (write_set_of txn));
+    ro = (fun txn -> txn.ro <> None);
+    staleness_us =
+      (fun txn -> match txn.ro with Some (Ro_pinned p) -> p.rp_stale_us | _ -> 0);
+  }
+
 (* --- Transaction completion ------------------------------------------- *)
 
 let finish t txn outcome =
-  if not txn.finished then begin
-    txn.finished <- true;
-    (* Tail wait: nonzero only when the finish came from a timer rather
-       than a message arrival (arrivals already attributed up to now). *)
-    (match t.c_cur with
-    | Some cur when cur == txn ->
-      profile_wait t None;
-      t.c_cur <- None
-    | Some _ | None -> ());
-    close_segment t txn;
-    txn.phase <- Done;
-    Hashtbl.remove t.txns txn.ver;
+  if not (Chassis.ended txn.life) then begin
+    Hashtbl.remove t.txns (ver txn);
     (* A finished follower read closes its pin series: late Ro_stale or
        pin replies must not restart the body. *)
     (match txn.ro with
@@ -256,49 +174,20 @@ let finish t txn outcome =
     (match outcome with
      | Outcome.Committed -> t.stats.committed <- t.stats.committed + 1
      | Outcome.Aborted _ -> t.stats.aborted <- t.stats.aborted + 1);
-    if Obs.Bus.on t.obs then
-      emit t
-        (Obs.Bus.Finish
-           { ver = Version.to_pair txn.ver; start_us = txn.t_start_us;
-             abort = Outcome.reason outcome; reexecs = Some txn.reexec_count;
-             work_us = txn.exec_us + txn.prep_us + txn.fin_us;
-             final_eid = txn.eid });
-    (match t.on_finish with
-     | Some f ->
-       f
-         {
-           Cc_types.Txn_record.h_ver = txn.ver;
-           h_committed = Outcome.is_committed outcome;
-           h_abort = Outcome.reason outcome;
-           h_reads =
-             List.map (fun (r : Rwset.read) -> (r.key, r.r_ver)) (read_set_of txn);
-           h_writes =
-             List.map (fun (w : Rwset.write) -> w.key) (write_set_of txn);
-           h_start_us = txn.t_start_us;
-           h_end_us = Engine.now t.engine;
-           h_exec_us = txn.exec_us;
-           h_prepare_us = txn.prep_us;
-           h_finalize_us = txn.fin_us;
-           h_ro = txn.ro <> None;
-           h_staleness_us =
-             (match txn.ro with Some (Ro_pinned p) -> p.rp_stale_us | _ -> 0);
-         }
-     | None -> ());
-    match txn.commit_cont with
-    | Some cont -> cont outcome
-    | None -> ()
+    Chassis.finish t.c txn.life txn outcome ~ver:(ver txn) ~eid:txn.eid
+      ~reexecs:txn.reexec_count
   end
 
 let decide t txn eid decision ~abort =
-  if Obs.Bus.on t.obs then
+  if Obs.Bus.on t.c.obs then
     emit t
       (Obs.Bus.Decide
-         { ver = Version.to_pair txn.ver; eid;
+         { ver = Version.to_pair (ver txn); eid;
            decision = Decision.to_string decision });
   broadcast t
     (Msg.Decide
        {
-         ver = txn.ver;
+         ver = ver txn;
          eid;
          decision;
          abort;
@@ -331,13 +220,15 @@ let abandon_outcome t txn eid =
 let rec start_prepare t txn =
   let read_set = read_set_of txn in
   let write_set = write_set_of txn in
-  let p = { p_eid = txn.eid; p_votes = []; p_timer = None; p_forced = false } in
-  close_segment t txn;
+  let p =
+    { p_eid = txn.eid; p_votes = []; p_timer = None; p_forced = false; p_round = 0 }
+  in
+  switch t txn Chassis.Prep;
   txn.phase <- Preparing p;
-  broadcast t (Msg.Prepare { ver = txn.ver; eid = txn.eid; read_set; write_set });
-  arm_prepare_timer t txn p 0
+  broadcast t (Msg.Prepare { ver = ver txn; eid = txn.eid; read_set; write_set });
+  arm_prepare_timer t txn p
 
-and arm_prepare_timer t txn p round =
+and arm_prepare_timer t txn p =
   (* Resends back off exponentially: a Prepare suspended at replicas on
      an undecided dependency (the common case under contention) gains
      nothing from re-broadcast, so only crash/loss recovery needs it.
@@ -346,40 +237,41 @@ and arm_prepare_timer t txn p round =
      lockstep and collide again (a retry storm). *)
   let delay =
     Sim.Backoff.equal_jitter t.rng ~base_us:t.cfg.prepare_timeout_us
-      ~attempt:round ()
+      ~attempt:p.p_round ()
   in
-  let ver = txn.ver in
-  let timer =
-    Engine.schedule t.engine ~after:delay (fun () ->
-        match Hashtbl.find_opt t.txns ver with
-        | Some ({ phase = Preparing p'; _ } as txn) when p' == p ->
-          p.p_forced <- true;
-          if List.length p.p_votes >= t.cfg.f + 1 then evaluate_votes t txn p
-          else begin
-            broadcast t
-              (Msg.Prepare
-                 {
-                   ver = txn.ver;
-                   eid = txn.eid;
-                   read_set = read_set_of txn;
-                   write_set = write_set_of txn;
-                 });
-            arm_prepare_timer t txn p (round + 1)
-          end
-        | Some _ | None -> ())
-  in
-  p.p_timer <- Some timer
+  p.p_timer <- Some (Chassis.arm t.c t.txns ~after:delay (ver txn) t.prepare_timeout)
+
+(* Every way out of [Preparing p] cancels [p]'s timer first, so the prep
+   the timer finds is the one that armed it. *)
+and prepare_timeout t txn =
+  match txn.phase with
+  | Preparing p ->
+    p.p_forced <- true;
+    if List.length p.p_votes >= t.cfg.f + 1 then evaluate_votes t txn p
+    else begin
+      broadcast t
+        (Msg.Prepare
+           {
+             ver = ver txn;
+             eid = txn.eid;
+             read_set = read_set_of txn;
+             write_set = write_set_of txn;
+           });
+      p.p_round <- p.p_round + 1;
+      arm_prepare_timer t txn p
+    end
+  | Executing | Finalizing _ -> ()
 
 and observe_fast_path t txn p votes =
   (* Fast-path vote consistency: taking the fast path claims a full
      2f+1 quorum of matching Commit votes — hand the monitor the votes
      actually held so it can re-check. *)
-  if Obs.Bus.monitoring t.obs then
+  if Obs.Bus.monitoring t.c.obs then
     emit t
       (Obs.Bus.State
          (Obs.Monitor.Fast_path
             {
-              ver = (txn.ver.Version.ts, txn.ver.Version.id);
+              ver = ((ver txn).Version.ts, (ver txn).Version.id);
               quorum = (2 * t.cfg.f) + 1;
               votes = List.map (fun v -> Fmt.str "%a" Vote.pp v) votes;
             }));
@@ -409,26 +301,27 @@ and evaluate_votes t txn p =
 and cancel_timer t p =
   match p.p_timer with
   | Some timer ->
-    Engine.cancel t.engine timer;
+    Engine.cancel t.c.engine timer;
     p.p_timer <- None
   | None -> ()
 
 and start_finalize t txn eid decision =
   let f = { f_eid = eid; f_decision = decision; f_ackers = []; f_fired = false } in
-  close_segment t txn;
+  switch t txn Chassis.Fin;
   txn.phase <- Finalizing f;
-  let ver = txn.ver in
-  broadcast t (Msg.Finalize { ver; eid; view = 0; decision });
-  let rec retry () =
-    ignore
-      (Engine.schedule t.engine ~after:t.cfg.prepare_timeout_us (fun () ->
-           match Hashtbl.find_opt t.txns ver with
-           | Some { phase = Finalizing f'; _ } when f' == f && not f.f_fired ->
-             broadcast t (Msg.Finalize { ver; eid; view = 0; decision });
-             retry ()
-           | Some _ | None -> ()))
-  in
-  retry ()
+  broadcast t (Msg.Finalize { ver = ver txn; eid; view = 0; decision });
+  arm_finalize t txn f
+
+and arm_finalize t txn f =
+  ignore
+    (Chassis.arm t.c t.txns ~after:t.cfg.prepare_timeout_us (ver txn) (fun txn ->
+         match txn.phase with
+         | Finalizing f' when f' == f && not f.f_fired ->
+           broadcast t
+             (Msg.Finalize
+                { ver = ver txn; eid = f.f_eid; view = 0; decision = f.f_decision });
+           arm_finalize t txn f
+         | Finalizing _ | Executing | Preparing _ -> ()))
 
 (* --- Re-execution ------------------------------------------------------ *)
 
@@ -436,11 +329,11 @@ and reexecute t txn idx (slot : slot) w_ver value ~trigger =
   t.stats.reexecs <- t.stats.reexecs + 1;
   txn.reexec_count <- txn.reexec_count + 1;
   (* Flow arrow source: anchored inside the execution span being
-     superseded (which close_segment below ends at [now]). *)
-  if Obs.Bus.on t.obs then
-    emit t (Obs.Bus.Supersede { ver = Version.to_pair txn.ver; eid = txn.eid });
+     superseded (which the switch below ends at [now]). *)
+  if Obs.Bus.on t.c.obs then
+    emit t (Obs.Bus.Supersede { ver = Version.to_pair (ver txn); eid = txn.eid });
   Log.debug (fun m ->
-      m "txn %a re-executes from read %d of %s" Version.pp txn.ver idx slot.s_key);
+      m "txn %a re-executes from read %d of %s" Version.pp (ver txn) idx slot.s_key);
   (* If the current execution already entered Prepare, durably abandon it
      (§4.2, Commit & Re-Execution).  The abandon round proceeds in the
      background, overlapped with the re-execution: the coordinator will
@@ -450,25 +343,24 @@ and reexecute t txn idx (slot : slot) w_ver value ~trigger =
   (match txn.phase with
    | Preparing p when p.p_eid = txn.eid ->
      cancel_timer t p;
-     Hashtbl.replace t.abandon_acks (txn.ver, txn.eid) (ref []);
+     Hashtbl.replace t.abandon_acks (ver txn, txn.eid) (ref []);
      broadcast t
        (Msg.Finalize
-          { ver = txn.ver; eid = txn.eid; view = 0; decision = Decision.Abandon })
-   | Preparing _ | Executing | Finalizing _ | Done -> ());
-  close_segment t txn;
-  txn.phase <- Executing;
-  txn.eid <- txn.eid + 1;
+          { ver = ver txn; eid = txn.eid; view = 0; decision = Decision.Abandon })
+   | Preparing _ | Executing | Finalizing _ -> ());
   (* A fresh execution starts with a clean slate of abandon causes; its
      execute segment is labelled as a re-execution span. *)
+  switch t txn Chassis.Reexec;
+  txn.phase <- Executing;
+  txn.eid <- txn.eid + 1;
   txn.t_reason <- None;
-  txn.seg_reexec <- true;
   (* The flow arrow's head lands in the fresh execution's span, and the
      corrected read is the new execution's first observation.  When the
      corrected version is the initial datum (the observed writer aborted
      and the read reverts), the blame lies with the writer whose
      disappearance triggered this re-execution — the version the slot
      observed before the unroll below overwrites it. *)
-  if Obs.Bus.on t.obs then begin
+  if Obs.Bus.on t.c.obs then begin
     let from = Version.to_pair w_ver in
     let aggressor =
       if from <> Obs.Lineage.v0 then from
@@ -479,7 +371,7 @@ and reexecute t txn idx (slot : slot) w_ver value ~trigger =
     in
     emit t
       (Obs.Bus.Reexec
-         { ver = Version.to_pair txn.ver; eid = txn.eid; from_read = idx;
+         { ver = Version.to_pair (ver txn); eid = txn.eid; from_read = idx;
            key = slot.s_key; trigger; aggressor; from })
   end;
   (* Unroll: keep the operation prefix up to and including this read. *)
@@ -504,10 +396,10 @@ and reexecute t txn idx (slot : slot) w_ver value ~trigger =
 
 and consider_reexec t txn key w_ver value ~trigger =
   if
-    txn.finished
+    Chassis.ended txn.life
     || (not t.cfg.reexecution)
     || txn.reexec_count >= t.cfg.max_reexecs
-    || Version.compare w_ver txn.ver >= 0
+    || Version.compare w_ver (ver txn) >= 0
   then ()
   else begin
     (* Re-executions must not start once a Commit decision may already be
@@ -515,7 +407,7 @@ and consider_reexec t txn key w_ver value ~trigger =
     let commit_in_flight =
       match txn.phase with
       | Finalizing f -> Decision.equal f.f_decision Decision.Commit
-      | Executing | Preparing _ | Done -> false
+      | Executing | Preparing _ -> false
     in
     if not commit_in_flight then
       (* The push reflects the serving replica's current view of the
@@ -550,10 +442,10 @@ let handle_get_reply t for_ver key w_ver value seq =
       match slot with
       | Some slot when slot.s_reply = None ->
         slot.s_reply <- Some (w_ver, value);
-        if Obs.Bus.on t.obs then
+        if Obs.Bus.on t.c.obs then
           emit t
             (Obs.Bus.Read
-               { ver = Version.to_pair txn.ver; key = slot.s_key;
+               { ver = Version.to_pair (ver txn); key = slot.s_key;
                  from = Version.to_pair w_ver; eid = txn.eid;
                  sent_us = slot.s_sent_us });
         slot.s_cont { c_txn = txn; c_eid = txn.eid } value
@@ -581,7 +473,7 @@ let handle_prepare_reply t ver eid vote missed reason ~src =
          p.p_votes <- (src, vote) :: p.p_votes;
          evaluate_votes t txn p
        end
-     | Preparing _ | Executing | Finalizing _ | Done -> ())
+     | Preparing _ | Executing | Finalizing _ -> ())
 
 let handle_finalize_reply t ver eid view accepted ~src =
   (* Abandon rounds for superseded executions are tracked separately. *)
@@ -617,17 +509,22 @@ let handle_finalize_reply t ver eid view accepted ~src =
           f.f_fired <- true;
           finish t txn (Outcome.Aborted Obs.Abort_reason.Recovery_stall)
         end
-      | Finalizing _ | Executing | Preparing _ | Done -> ()))
+      | Finalizing _ | Executing | Preparing _ -> ()))
+
+(* --- Transactions ------------------------------------------------------- *)
+
+(* Open a transaction at [ver], registered and profiled; [ro] marks a
+   follower read. *)
+let mk_txn t ver ro =
+  let life = Chassis.begin_ t.c ver ~ro:false in
+  let txn =
+    { life; eid = 0; slots = []; ops = []; phase = Executing; reexec_count = 0;
+      next_seq = 0; t_reason = None; ro }
+  in
+  Hashtbl.replace t.txns ver txn;
+  txn
 
 (* --- Follower reads (watermark-pinned snapshots) ------------------------ *)
-
-let ro_attempt_cap t = max (2 * Array.length t.replicas) 6
-
-(* Redirect backoff: capped exponential with full seeded jitter so
-   clients bounced off the same stale replica do not stampede the next
-   one in lockstep. *)
-let ro_backoff t attempt =
-  Sim.Backoff.full_jitter t.rng ~base_us:5_000 ~cap_us:160_000 ~attempt
 
 (* The snapshot version for a pin at watermark timestamp [wm_ts].  The
    negative id places the snapshot above the watermark sentinel
@@ -639,65 +536,44 @@ let ro_backoff t attempt =
 let ro_ver t wm_ts =
   let seq = t.ro_seq in
   t.ro_seq <- seq + 1;
-  Version.make ~ts:wm_ts ~id:(-((t.node * 1_000_000) + seq + 1))
+  Version.make ~ts:wm_ts ~id:(-((t.c.node * 1_000_000) + seq + 1))
 
 let ro_replica_ix t node =
   let ix = ref None in
   Array.iteri (fun i r -> if r = node && !ix = None then ix := Some i) t.replicas;
   !ix
 
-let ro_mk_txn t ~ver ~ro =
-  let now = Engine.now t.engine in
-  let txn =
-    {
-      ver; eid = 0; slots = []; ops = []; phase = Executing; reexec_count = 0;
-      next_seq = 0; commit_cont = None; finished = false; t_start_us = now;
-      t_reason = None; ph_start_us = now; exec_us = 0; prep_us = 0; fin_us = 0;
-      seg_reexec = false; ro = Some ro;
-    }
-  in
-  Hashtbl.replace t.txns ver txn;
-  t.c_cur <- Some txn;
-  t.c_comps <- Array.make Obs.Profile.n_cells 0;
-  t.c_last_ev <- now;
-  if Obs.Bus.on t.obs then
-    emit t (Obs.Bus.Begin { ver = Version.to_pair ver; ro = false });
-  txn
-
 (* Retire a pinned execution without recording anything: the re-pin
-   replays the whole body against a fresher snapshot ([finished] stales
-   every stored continuation of the old one). *)
+   replays the whole body against a fresher snapshot (the ended life
+   stales every stored continuation of the old one). *)
 let ro_retire t txn =
-  txn.finished <- true;
-  Hashtbl.remove t.txns txn.ver;
-  match t.c_cur with
-  | Some cur when cur == txn -> t.c_cur <- None
-  | Some _ | None -> ()
+  Chassis.discard t.c txn.life;
+  Hashtbl.remove t.txns (ver txn)
+
+(* Run the series' body against a fresh transaction. *)
+let ro_run t st ver ro =
+  let txn = mk_txn t ver (Some ro) in
+  st.rs_txn <- Some txn;
+  st.rs_body { c_txn = txn; c_eid = 0 }
 
 let rec ro_try_pin t st =
   if (not st.rs_done) && st.rs_txn = None then begin
     let n = Array.length t.replicas in
-    let dst = t.replicas.((t.closest_ix + st.rs_attempt) mod n) in
+    let dst = t.replicas.((t.c.closest_ix.(0) + st.rs_attempt) mod n) in
     send t dst (Msg.Ro_pin { ro_id = st.rs_id });
-    let id = st.rs_id and at = st.rs_attempt in
+    let at = st.rs_attempt in
     ignore
-      (Engine.schedule t.engine ~after:t.cfg.prepare_timeout_us (fun () ->
-           match Hashtbl.find_opt t.ro_pins id with
-           | Some st when st.rs_txn = None && st.rs_attempt = at -> ro_advance t st
-           | Some _ | None -> ()))
+      (Chassis.arm t.c t.ro_pins ~after:t.cfg.prepare_timeout_us st.rs_id (fun st ->
+           if st.rs_txn = None && st.rs_attempt = at then ro_advance t st))
   end
 
 and ro_advance t st =
   st.rs_attempt <- st.rs_attempt + 1;
-  if st.rs_attempt >= ro_attempt_cap t then ro_exhausted t st
+  if st.rs_attempt >= Chassis.attempt_cap ~replicas:(Array.length t.replicas) then
+    ro_exhausted t st
   else begin
-    let wait = ro_backoff t st.rs_attempt in
-    let id = st.rs_id in
-    ignore
-      (Engine.schedule t.engine ~after:wait (fun () ->
-           match Hashtbl.find_opt t.ro_pins id with
-           | Some st -> ro_try_pin t st
-           | None -> ()))
+    let wait = Chassis.backoff t.rng ~attempt:st.rs_attempt in
+    ignore (Chassis.arm t.c t.ro_pins ~after:wait st.rs_id (ro_try_pin t))
   end
 
 (* Graceful degradation's floor: no reachable replica could serve within
@@ -708,13 +584,8 @@ and ro_advance t st =
 and ro_exhausted t st =
   st.rs_done <- true;
   Hashtbl.remove t.ro_pins st.rs_id;
-  let reason =
-    if st.rs_saw_stale then Obs.Abort_reason.Stale_replica
-    else Obs.Abort_reason.Timeout
-  in
-  let txn = ro_mk_txn t ~ver:(ro_ver t (Sim.Clock.read t.clock)) ~ro:(Ro_doomed reason) in
-  st.rs_txn <- Some txn;
-  st.rs_body { c_txn = txn; c_eid = 0 }
+  let reason = Chassis.exhausted ~saw_stale:st.rs_saw_stale in
+  ro_run t st (ro_ver t (Sim.Clock.read t.clock)) (Ro_doomed reason)
 
 let ro_handle_pin_reply t st ~src wm =
   if st.rs_done || st.rs_txn <> None then ()
@@ -728,7 +599,7 @@ let ro_handle_pin_reply t st ~src wm =
       end
       else begin
         let ver = ro_ver t w.Version.ts in
-        (if Obs.Bus.monitoring t.obs then
+        (if Obs.Bus.monitoring t.c.obs then
            match ro_replica_ix t src with
            | Some ix ->
              emit t
@@ -744,12 +615,8 @@ let ro_handle_pin_reply t st ~src wm =
            | None -> ());
         (* A fresh pin starts a fresh redirect cycle. *)
         st.rs_attempt <- 0;
-        let txn =
-          ro_mk_txn t ~ver
-            ~ro:(Ro_pinned { rp_replica = src; rp_stale_us = staleness; rp_id = st.rs_id })
-        in
-        st.rs_txn <- Some txn;
-        st.rs_body { c_txn = txn; c_eid = 0 }
+        ro_run t st ver
+          (Ro_pinned { rp_replica = src; rp_stale_us = staleness; rp_id = st.rs_id })
       end
     | None ->
       (* The replica answered but has no certifiable snapshot yet:
@@ -757,26 +624,27 @@ let ro_handle_pin_reply t st ~src wm =
       st.rs_saw_stale <- true;
       ro_advance t st
 
-(* The watermark overtook the pinned snapshot mid-read: re-pin. *)
+(* The watermark overtook the pinned snapshot mid-read, or the pinned
+   replica stopped answering reads (crash or partition): re-pin. *)
+let ro_repin t st txn =
+  ro_retire t txn;
+  st.rs_txn <- None;
+  ro_advance t st
+
 let ro_handle_stale t st =
   match st.rs_txn with
-  | Some txn when (not txn.finished) && not st.rs_done ->
+  | Some txn when (not (Chassis.ended txn.life)) && not st.rs_done ->
     st.rs_saw_stale <- true;
-    ro_retire t txn;
-    st.rs_txn <- None;
-    ro_advance t st
+    ro_repin t st txn
   | Some _ | None -> ()
 
-(* The pinned replica stopped answering reads (crash or partition):
-   re-pin elsewhere.  Reached from the per-read timeout in [get]. *)
+(* Reached from the per-read timeout in [get]. *)
 let ro_unreachable t rp_id txn =
   match Hashtbl.find_opt t.ro_pins rp_id with
   | Some st -> (
     match st.rs_txn with
-    | Some cur when cur == txn && (not txn.finished) && not st.rs_done ->
-      ro_retire t txn;
-      st.rs_txn <- None;
-      ro_advance t st
+    | Some cur when cur == txn && (not (Chassis.ended txn.life)) && not st.rs_done ->
+      ro_repin t st txn
     | Some _ | None -> ())
   | None -> ()
 
@@ -817,28 +685,18 @@ let handle t ~src msg =
 
 let create ~cfg ~engine ~net ~rng ~region ~replicas ?(obs = Obs.Bus.null ())
     ?on_finish () =
-  let node = Net.add_node net ~region in
-  let closest_ix =
-    let n = Array.length replicas in
-    let rec scan i =
-      if i >= n then 0
-      else if Net.region_of net replicas.(i) = region then i
-      else scan (i + 1)
-    in
-    scan 0
+  let c =
+    Chassis.create ~engine ~net ~region ~groups:[| replicas |] ~obs ~on_finish
+      ~execs:true history
   in
-  let closest = replicas.(closest_ix) in
-  let t =
+  let rec t =
     {
+      c;
       cfg;
-      engine;
-      net;
       clock = Sim.Clock.create engine rng ~max_skew:cfg.max_clock_skew_us;
       rng;
-      node;
       replicas;
-      closest;
-      closest_ix;
+      closest = replicas.(c.closest_ix.(0));
       last_ts = 0;
       txns = Hashtbl.create 16;
       ro_pins = Hashtbl.create 8;
@@ -847,52 +705,17 @@ let create ~cfg ~engine ~net ~rng ~region ~replicas ?(obs = Obs.Bus.null ())
       stats =
         { begun = 0; committed = 0; aborted = 0; reexecs = 0;
           miss_notifications = 0; fast_commits = 0; slow_commits = 0 };
-      obs;
-      c_cur = None;
-      c_comps = Array.make Obs.Profile.n_cells 0;
-      c_last_ev = 0;
-      on_finish;
+      prepare_timeout = (fun txn -> prepare_timeout t txn);
     }
   in
-  (* Provenance feeds only the profiler: skip it when none is attached. *)
-  Net.set_handler net node (fun ~src msg ->
-      if Obs.Bus.profiling t.obs then profile_arrival t;
-      handle t ~src msg);
+  Chassis.serve c (fun ~src msg -> handle t ~src msg);
   t
 
 let begin_ t body =
   let ts = max (Sim.Clock.read t.clock) (t.last_ts + 1) in
   t.last_ts <- ts;
-  let ver = Version.make ~ts ~id:t.node in
-  let now = Engine.now t.engine in
-  let txn =
-    {
-      ver;
-      eid = 0;
-      slots = [];
-      ops = [];
-      phase = Executing;
-      reexec_count = 0;
-      next_seq = 0;
-      commit_cont = None;
-      finished = false;
-      t_start_us = now;
-      t_reason = None;
-      ph_start_us = now;
-      exec_us = 0;
-      prep_us = 0;
-      fin_us = 0;
-      seg_reexec = false;
-      ro = None;
-    }
-  in
-  Hashtbl.replace t.txns ver txn;
+  let txn = mk_txn t (Version.make ~ts ~id:t.c.node) None in
   t.stats.begun <- t.stats.begun + 1;
-  t.c_cur <- Some txn;
-  t.c_comps <- Array.make Obs.Profile.n_cells 0;
-  t.c_last_ev <- now;
-  if Obs.Bus.on t.obs then
-    emit t (Obs.Bus.Begin { ver = Version.to_pair ver; ro = false });
   body { c_txn = txn; c_eid = 0 }
 
 (* Whether the read sent with sequence number [seq] is still listed in
@@ -904,50 +727,20 @@ let begin_ t body =
 let unanswered txn seq =
   List.exists (fun s -> s.s_seq = seq && s.s_reply = None) txn.slots
 
-(* Snapshot read of a pinned follower-read transaction: all reads go to
-   the one pinned replica, which serves them at the snapshot (or
-   answers [Ro_stale], triggering a re-pin). *)
-let ro_get t ctx key cont =
-  let txn = ctx.c_txn in
-  match txn.ro with
-  | Some (Ro_pinned p) -> (
-    (* Repeatable reads: a second read of the same key returns the value
-       already observed (snapshot reads are stable anyway). *)
-    let existing =
-      List.find_opt
-        (fun s -> String.equal s.s_key key && s.s_reply <> None)
-        txn.slots
-    in
-    match existing with
-    | Some s ->
-      let value = match s.s_reply with Some (_, v) -> v | None -> "" in
-      cont ctx value
-    | None ->
-      let seq = txn.next_seq in
-      txn.next_seq <- seq + 1;
-      let slot =
-        { s_index = List.length txn.slots; s_key = key; s_seq = seq;
-          s_sent_us = Engine.now t.engine; s_reply = None; s_cont = cont }
-      in
-      txn.slots <- txn.slots @ [ slot ];
-      txn.ops <- txn.ops @ [ Op_read slot.s_index ];
-      send t p.rp_replica
-        (Msg.Ro_get { snap = txn.ver; key; seq; ro_id = p.rp_id });
-      (* If the pinned replica goes silent (crash, partition), re-pin
-         the whole transaction elsewhere rather than retrying here: any
-         other replica's snapshot differs, so partial reads are void.
-         Follower reads never re-execute, so the slot stays listed. *)
-      let ver = txn.ver and rp_id = p.rp_id in
-      ignore
-        (Engine.schedule t.engine ~after:t.cfg.prepare_timeout_us (fun () ->
-             match Hashtbl.find_opt t.txns ver with
-             | Some txn when unanswered txn seq -> ro_unreachable t rp_id txn
-             | Some _ | None -> ())))
-  | Some (Ro_doomed _) | None -> cont ctx ""
+(* Reads normally go only to the closest replica; if it is unreachable
+   (crash, partition), retry on the others.  A re-execution that unrolls
+   past this read drops its slot. *)
+let rec arm_get_retry t txn key seq attempt =
+  ignore
+    (Chassis.arm t.c t.txns ~after:t.cfg.prepare_timeout_us (ver txn) (fun txn ->
+         if unanswered txn seq then begin
+           let dst = t.replicas.(attempt mod Array.length t.replicas) in
+           send t dst (Msg.Get { ver = ver txn; key; seq; eid = txn.eid });
+           arm_get_retry t txn key seq (attempt + 1)
+         end))
 
 let get t ctx key cont =
   if stale ctx then ()
-  else if ctx.c_txn.ro <> None then ro_get t ctx key cont
   else begin
     let txn = ctx.c_txn in
     (* Read-your-own-writes: serve from the write buffer. *)
@@ -962,42 +755,43 @@ let get t ctx key cont =
     match own_write with
     | Some v -> cont ctx v
     | None -> (
-      (* Repeatable reads: a second read of the same key returns the
-         value already observed. *)
-      let existing =
-        List.find_opt
-          (fun s -> String.equal s.s_key key && s.s_reply <> None)
-          txn.slots
-      in
-      match existing with
-      | Some s ->
-        let value = match s.s_reply with Some (_, v) -> v | None -> "" in
-        cont ctx value
-      | None ->
-        let seq = txn.next_seq in
-        txn.next_seq <- seq + 1;
-        let slot =
-          { s_index = List.length txn.slots; s_key = key; s_seq = seq;
-            s_sent_us = Engine.now t.engine; s_reply = None; s_cont = cont }
-        in
-        txn.slots <- txn.slots @ [ slot ];
-        txn.ops <- txn.ops @ [ Op_read slot.s_index ];
-        send t t.closest (Msg.Get { ver = txn.ver; key; seq; eid = txn.eid });
-        (* Reads normally go only to the closest replica; if it is
-           unreachable (crash, partition), retry on the others.  A
-           re-execution that unrolls past this read drops its slot. *)
-        let ver = txn.ver in
-        let rec retry attempt =
-          ignore
-            (Engine.schedule t.engine ~after:t.cfg.prepare_timeout_us (fun () ->
-                 match Hashtbl.find_opt t.txns ver with
-                 | Some txn when unanswered txn seq ->
-                   let dst = t.replicas.(attempt mod Array.length t.replicas) in
-                   send t dst (Msg.Get { ver; key; seq; eid = txn.eid });
-                   retry (attempt + 1)
-                 | Some _ | None -> ()))
-        in
-        retry 0)
+      match txn.ro with
+      | Some (Ro_doomed _) -> cont ctx ""
+      | Some (Ro_pinned _) | None -> (
+        (* Repeatable reads: a second read of the same key returns the
+           value already observed (snapshot reads are stable anyway). *)
+        match
+          List.find_opt (fun s -> String.equal s.s_key key && s.s_reply <> None) txn.slots
+        with
+        | Some s ->
+          let value = match s.s_reply with Some (_, v) -> v | None -> "" in
+          cont ctx value
+        | None -> (
+          let seq = txn.next_seq in
+          txn.next_seq <- seq + 1;
+          let slot =
+            { s_index = List.length txn.slots; s_key = key; s_seq = seq;
+              s_sent_us = Engine.now t.c.engine; s_reply = None; s_cont = cont }
+          in
+          txn.slots <- txn.slots @ [ slot ];
+          txn.ops <- txn.ops @ [ Op_read slot.s_index ];
+          match txn.ro with
+          | Some (Ro_pinned p) ->
+            (* All reads of a follower read go to the one pinned replica,
+               which serves them at the snapshot (or answers [Ro_stale]).
+               If it goes silent, re-pin the whole transaction elsewhere
+               rather than retrying here: any other replica's snapshot
+               differs, so partial reads are void.  Follower reads never
+               re-execute, so the slot stays listed. *)
+            send t p.rp_replica
+              (Msg.Ro_get { snap = ver txn; key; seq; ro_id = p.rp_id });
+            let rp_id = p.rp_id in
+            ignore
+              (Chassis.arm t.c t.txns ~after:t.cfg.prepare_timeout_us (ver txn)
+                 (fun txn -> if unanswered txn seq then ro_unreachable t rp_id txn))
+          | Some (Ro_doomed _) | None ->
+            send t t.closest (Msg.Get { ver = ver txn; key; seq; eid = txn.eid });
+            arm_get_retry t txn key seq 0)))
   end
 
 let put t ctx key value =
@@ -1005,7 +799,7 @@ let put t ctx key value =
   else begin
     let txn = ctx.c_txn in
     txn.ops <- txn.ops @ [ Op_write (key, value) ];
-    broadcast t (Msg.Put { ver = txn.ver; key; value; eid = txn.eid });
+    broadcast t (Msg.Put { ver = ver txn; key; value; eid = txn.eid });
     ctx
   end
 
@@ -1013,7 +807,7 @@ let commit t ctx cont =
   if stale ctx then ()
   else begin
     let txn = ctx.c_txn in
-    txn.commit_cont <- Some cont;
+    txn.life.on_outcome <- cont;
     match txn.ro with
     | Some (Ro_doomed reason) -> finish t txn (Outcome.Aborted reason)
     | Some (Ro_pinned _) ->

@@ -516,7 +516,7 @@ let handle_finalize_reply t ver eid view accepted ~src =
 (* Open a transaction at [ver], registered and profiled; [ro] marks a
    follower read. *)
 let mk_txn t ver ro =
-  let life = Chassis.begin_ t.c ver ~ro:false in
+  let life = Chassis.begin_ t.c ver ~ro:(ro <> None) in
   let txn =
     { life; eid = 0; slots = []; ops = []; phase = Executing; reexec_count = 0;
       next_seq = 0; t_reason = None; ro }

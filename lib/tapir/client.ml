@@ -323,7 +323,7 @@ let begin_with t ~ro body =
   let ts = max (Sim.Clock.read t.clock) (t.last_ts + 1) in
   t.last_ts <- ts;
   let id = Version.make ~ts ~id:t.c.node in
-  let life = Chassis.begin_ t.c id ~ro:false in
+  let life = Chassis.begin_ t.c id ~ro:(ro <> None) in
   let txn =
     { life; reads = []; read_vals = []; writes = []; pending = []; next_seq = 0;
       ro; phase = Executing; slow = false }

@@ -20,7 +20,11 @@ least 6 pairs), how many pairs CHANGE won and a verdict: `gain` when
 CHANGE won at least nine tenths of all pairs (ties count for neither
 side) and its median is better than BASE's by more than BASE's
 interquartile range, `loss` for the same rule in the worse direction,
-`none` otherwise.
+`none` otherwise.  The verdict's medians and quartiles are taken after
+dividing each run, on both sides, by the median of BASE's runs of the
+same seed: different seeds run different histories at different
+levels, and pooled together their spread, not the run-to-run noise,
+would set the bar.  The median and quartile columns are the raw values.
 
 The default metrics are BENCHMARK.json's end-to-end ones, with their
 better direction.  --metric picks others: any name in perfbench's JSON
@@ -123,12 +127,24 @@ def fmt_ci(changes):
     return "[%+.1f %%, %+.1f %%]" % (ci[0], ci[1])
 
 
-def verdict(base, change, direction):
+def per_seed(values, seeds, base):
+    """Each run divided by the median of BASE's runs of its seed."""
+    level = {}
+    for s in set(seeds):
+        level[s] = statistics.median(b for b, t in zip(base, seeds) if t == s) or 1.0
+    return [v / level[s] for v, s in zip(values, seeds)]
+
+
+def verdict(base, change, direction, seeds=None):
     """`gain`, `loss` or `none` for one metric's paired samples.
 
     A side holds when it won at least nine tenths of all pairs (ties
     count for neither) and the medians differ in its favour by more
-    than the distance between BASE's quartiles."""
+    than the distance between BASE's quartiles.  With `seeds` (the seed
+    of each pair) both series are first divided by BASE's per-seed
+    medians, so the quartiles measure run-to-run noise alone."""
+    if seeds is not None:
+        base, change = per_seed(base, seeds, base), per_seed(change, seeds, base)
     n = len(base)
     sign = -1 if direction == "lower" else 1
     won = sum(1 for b, c in zip(base, change) if sign * (c - b) > 0)
@@ -162,8 +178,8 @@ def main():
     sides = {"base": os.path.abspath(args.base),
              "change": os.path.abspath(args.change)}
     samples = {"base": [], "change": []}
-    for i in range(args.pairs):
-        seed = seeds[i % len(seeds)]
+    pair_seeds = [seeds[i % len(seeds)] for i in range(args.pairs)]
+    for i, seed in enumerate(pair_seeds):
         order = ["base", "change"] if i % 2 == 0 else ["change", "base"]
         digests = {}
         for side in order:
@@ -192,7 +208,7 @@ def main():
         print("| `%s` | %s [%s, %s] | %s [%s, %s] | %s | %s | %d/%d | %s |"
               % (name, fmt(bm), fmt(bq1), fmt(bq3), fmt(cm), fmt(cq1),
                  fmt(cq3), rel, fmt_ci(pair_changes(b, c)), won, len(b),
-                 verdict(b, c, direction)))
+                 verdict(b, c, direction, pair_seeds)))
 
 
 if __name__ == "__main__":

@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Tests for tools/abab.py's confidence interval, on fixed inputs.
+"""Tests for tools/abab.py's confidence interval and verdict, on fixed inputs.
 
     python3 tools/test_abab.py
 """
 
 import os
+import random
 import sys
 import unittest
 
@@ -86,6 +87,36 @@ class Verdict(unittest.TestCase):
         change = [b + 3.0 for b in self.BASE]
         self.assertEqual(abab.verdict(self.BASE, change, "higher"), "gain")
         self.assertEqual(abab.verdict(self.BASE, self.BASE, "higher"), "none")
+
+
+class PerSeedVerdict(unittest.TestCase):
+    # Ten pairs over three seeds whose histories sit at different levels,
+    # each run with up to 1 % of run-to-run noise.
+    SEEDS = [3, 7, 11, 3, 7, 11, 3, 7, 11, 3]
+    LEVEL = {3: 100.0, 7: 130.0, 11: 160.0}
+
+    def series(self, rng, spread):
+        return [self.LEVEL[s] * (1 + rng.uniform(-spread, spread))
+                for s in self.SEEDS]
+
+    def test_consistent_gain_across_seed_levels(self):
+        base = self.series(random.Random(1), 0.01)
+        change = [b * 0.95 for b in base]
+        self.assertEqual(abab.verdict(base, change, "lower", self.SEEDS), "gain")
+        # Pooled, the seeds' spread (100 to 160) hides the 5 % gain.
+        self.assertEqual(abab.verdict(base, change, "lower"), "none")
+
+    def test_no_change_with_run_noise_is_none(self):
+        base = self.series(random.Random(2), 0.03)
+        change = self.series(random.Random(3), 0.03)
+        for direction in ("lower", "higher"):
+            self.assertEqual(abab.verdict(base, change, direction, self.SEEDS),
+                             "none")
+
+    def test_per_seed_divides_by_the_seed_median(self):
+        self.assertEqual(abab.per_seed([2.0, 30.0, 4.0], [1, 2, 1],
+                                       [2.0, 10.0, 6.0]),
+                         [0.5, 3.0, 1.0])
 
 
 if __name__ == "__main__":

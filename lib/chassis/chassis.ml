@@ -189,7 +189,7 @@ let finish c l x outcome ~ver ~eid ~reexecs =
   l.on_outcome outcome
 
 let user_abort = Outcome.Aborted Obs.Abort_reason.User_abort
-let retire c l ~eid ~reexecs = close c l user_abort ~eid ~reexecs
+let retire c l = close c l user_abort ~eid:0 ~reexecs:0
 
 let discard c l =
   l.finished <- true;

@@ -112,9 +112,10 @@ val finish :
     history record (labelled [ver]) when [on_finish] is set, then the
     outcome continuation. *)
 
-val retire : ('x, 'm) t -> life -> eid:int -> reexecs:int -> unit
-(** A user abort: as {!finish} with a [User_abort] outcome, but without
-    the history record and the outcome continuation. *)
+val retire : ('x, 'm) t -> life -> unit
+(** A user abort before commit: as {!finish} with a [User_abort]
+    outcome at execution 0, but without the history record and the
+    outcome continuation (TAPIR, Spanner). *)
 
 val discard : ('x, 'm) t -> life -> unit
 (** End a life silently: no wait, no event (Morty's re-pin replays the

@@ -543,13 +543,6 @@ let ro_replica_ix t node =
   Array.iteri (fun i r -> if r = node && !ix = None then ix := Some i) t.replicas;
   !ix
 
-(* Retire a pinned execution without recording anything: the re-pin
-   replays the whole body against a fresher snapshot (the ended life
-   stales every stored continuation of the old one). *)
-let ro_retire t txn =
-  Chassis.discard t.c txn.life;
-  Hashtbl.remove t.txns (ver txn)
-
 (* Run the series' body against a fresh transaction. *)
 let ro_run t st ver ro =
   let txn = mk_txn t ver (Some ro) in
@@ -625,9 +618,13 @@ let ro_handle_pin_reply t st ~src wm =
       ro_advance t st
 
 (* The watermark overtook the pinned snapshot mid-read, or the pinned
-   replica stopped answering reads (crash or partition): re-pin. *)
+   replica stopped answering reads (crash or partition): re-pin.  The
+   pinned execution is retired without recording anything: the re-pin
+   replays the whole body against a fresher snapshot (the ended life
+   stales every stored continuation of the old one). *)
 let ro_repin t st txn =
-  ro_retire t txn;
+  Chassis.discard t.c txn.life;
+  Hashtbl.remove t.txns (ver txn);
   st.rs_txn <- None;
   ro_advance t st
 

@@ -385,7 +385,7 @@ let abort t ctx =
     Hashtbl.remove t.txns (id txn);
     if txn.ro then Hashtbl.remove t.ro_txns txn.ro_id;
     t.stats.aborted <- t.stats.aborted + 1;
-    Chassis.retire t.c txn.life ~eid:0 ~reexecs:0;
+    Chassis.retire t.c txn.life;
     (* Release any locks acquired during execution. *)
     if not txn.ro then
       List.iter

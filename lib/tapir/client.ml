@@ -379,7 +379,7 @@ let abort t ctx =
   if not (ended txn) then begin
     Hashtbl.remove t.txns (id txn);
     t.stats.aborted <- t.stats.aborted + 1;
-    Chassis.retire t.c txn.life ~eid:0 ~reexecs:0;
+    Chassis.retire t.c txn.life;
     (* Nothing is prepared yet, but replicas may hold read registrations;
        an Abort message is harmless and frees any prepared state from a
        duplicate path.  Follower reads leave no replica state at all. *)

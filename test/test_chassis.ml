@@ -134,7 +134,7 @@ let test_retire_skips_record () =
   let _, c = make ~on_finish:(fun _ -> incr records) () in
   let l = Chassis.begin_ c (Version.make ~ts:1 ~id:0) ~ro:false in
   l.on_outcome <- (fun _ -> incr outcome);
-  Chassis.retire c l ~eid:0 ~reexecs:0;
+  Chassis.retire c l;
   Alcotest.(check bool) "ended" true (Chassis.ended l);
   Alcotest.(check int) "no record" 0 !records;
   Alcotest.(check int) "no outcome continuation" 0 !outcome

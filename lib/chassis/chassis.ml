@@ -31,14 +31,13 @@ type ('x, 'm) t = {
   obs : Obs.Bus.t;
   on_finish : (Cc_types.Txn_record.t -> unit) option;
   history : 'x history;
-  execs : bool;
   closest_ix : int array;
   mutable cur : life option;
   mutable comps : int array;
   mutable last_ev : int;
 }
 
-let create ~engine ~net ~region ~groups ~obs ~on_finish ?(execs = false) history =
+let create ~engine ~net ~region ~groups ~obs ~on_finish history =
   let node = Net.add_node net ~region in
   let closest members =
     let n = Array.length members in
@@ -50,7 +49,7 @@ let create ~engine ~net ~region ~groups ~obs ~on_finish ?(execs = false) history
     scan 0
   in
   {
-    engine; net; node; obs; on_finish; history; execs;
+    engine; net; node; obs; on_finish; history;
     closest_ix = Array.map closest groups;
     cur = None;
     comps = Array.make Obs.Profile.n_cells 0;
@@ -140,7 +139,7 @@ let switch c l ~eid next =
     emit c
       (Obs.Bus.Phase
          { ver = Version.to_pair l.ver; name; start_us = l.seg_start_us;
-           eid = (if c.execs then Some eid else None) });
+           eid });
   l.seg_start_us <- now;
   l.seg <- next
 
@@ -162,8 +161,8 @@ let close c l outcome ~eid ~reexecs =
       (Obs.Bus.Finish
          { ver = Version.to_pair l.ver; start_us = l.start_us;
            abort = Outcome.reason outcome;
-           reexecs = (if c.execs then Some reexecs else None);
-           work_us = l.exec_us + l.prep_us + l.fin_us; final_eid = eid })
+           reexecs; work_us = l.exec_us + l.prep_us + l.fin_us;
+           final_eid = Option.value eid ~default:0 })
 
 let finish c l x outcome ~ver ~eid ~reexecs =
   close c l outcome ~eid ~reexecs;
@@ -189,7 +188,7 @@ let finish c l x outcome ~ver ~eid ~reexecs =
   l.on_outcome outcome
 
 let user_abort = Outcome.Aborted Obs.Abort_reason.User_abort
-let retire c l = close c l user_abort ~eid:0 ~reexecs:0
+let retire c l = close c l user_abort ~eid:None ~reexecs:None
 
 let discard c l =
   l.finished <- true;

@@ -63,9 +63,6 @@ type ('x, 'm) t = {
   obs : Obs.Bus.t;
   on_finish : (Cc_types.Txn_record.t -> unit) option;
   history : 'x history;
-  execs : bool;
-      (** the stack numbers its executions: [Phase] carries the [eid]
-          and [Finish] the re-execution count *)
   closest_ix : int array;
       (** per group: index of the first member in the client's region,
           else 0 *)
@@ -82,7 +79,6 @@ val create :
   groups:int array array ->
   obs:Obs.Bus.t ->
   on_finish:(Cc_types.Txn_record.t -> unit) option ->
-  ?execs:bool ->
   'x history ->
   ('x, 'm) t
 (** Register a client node in [region]; [groups.(g)] lists group [g]'s
@@ -101,21 +97,23 @@ val begin_ : ('x, 'm) t -> Version.t -> ro:bool -> life
 
 val ended : life -> bool
 
-val switch : ('x, 'm) t -> life -> eid:int -> seg -> unit
-(** Close the open segment — credit its duration, emit its [Phase] —
-    and open the next one. *)
+val switch : ('x, 'm) t -> life -> eid:int option -> seg -> unit
+(** Close the open segment — credit its duration, emit its [Phase]
+    (with [eid], the execution, where the stack numbers them) — and
+    open the next one. *)
 
 val finish :
-  ('x, 'm) t -> life -> 'x -> Outcome.t -> ver:Version.t -> eid:int ->
-  reexecs:int -> unit
-(** End a live transaction: tail wait, last [Phase], [Finish], the
-    history record (labelled [ver]) when [on_finish] is set, then the
-    outcome continuation. *)
+  ('x, 'm) t -> life -> 'x -> Outcome.t -> ver:Version.t ->
+  eid:int option -> reexecs:int option -> unit
+(** End a live transaction: tail wait, last [Phase], [Finish] (with the
+    final execution and the re-execution count where the stack counts
+    them), the history record (labelled [ver]) when [on_finish] is set,
+    then the outcome continuation. *)
 
 val retire : ('x, 'm) t -> life -> unit
 (** A user abort before commit: as {!finish} with a [User_abort]
-    outcome at execution 0, but without the history record and the
-    outcome continuation (TAPIR, Spanner). *)
+    outcome and no execution count, but without the history record and
+    the outcome continuation (TAPIR, Spanner). *)
 
 val discard : ('x, 'm) t -> life -> unit
 (** End a life silently: no wait, no event (Morty's re-pin replays the

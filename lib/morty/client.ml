@@ -115,7 +115,10 @@ let emit t ev = Chassis.emit t.c ev
 let send t dst msg = Chassis.send t.c dst msg
 let broadcast t msg = Array.iter (fun dst -> send t dst msg) t.replicas
 let stale ctx = ctx.c_eid <> ctx.c_txn.eid || Chassis.ended ctx.c_txn.life
-let switch t txn seg = Chassis.switch t.c txn.life ~eid:txn.eid seg
+(* [Phase] carries the execution and [Finish] the re-execution count;
+   boxed only when the bus records them. *)
+let numbered t n = if Obs.Bus.on t.c.obs then Some n else None
+let switch t txn seg = Chassis.switch t.c txn.life ~eid:(numbered t txn.eid) seg
 
 let note_reason txn reason =
   match reason with
@@ -174,8 +177,8 @@ let finish t txn outcome =
     (match outcome with
      | Outcome.Committed -> t.stats.committed <- t.stats.committed + 1
      | Outcome.Aborted _ -> t.stats.aborted <- t.stats.aborted + 1);
-    Chassis.finish t.c txn.life txn outcome ~ver:(ver txn) ~eid:txn.eid
-      ~reexecs:txn.reexec_count
+    Chassis.finish t.c txn.life txn outcome ~ver:(ver txn)
+      ~eid:(numbered t txn.eid) ~reexecs:(numbered t txn.reexec_count)
   end
 
 let decide t txn eid decision ~abort =
@@ -684,7 +687,7 @@ let create ~cfg ~engine ~net ~rng ~region ~replicas ?(obs = Obs.Bus.null ())
     ?on_finish () =
   let c =
     Chassis.create ~engine ~net ~region ~groups:[| replicas |] ~obs ~on_finish
-      ~execs:true history
+      history
   in
   let rec t =
     {

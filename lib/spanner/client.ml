@@ -80,7 +80,7 @@ let finish t txn ~ver outcome =
     (match outcome with
      | Outcome.Committed -> t.stats.committed <- t.stats.committed + 1
      | Outcome.Aborted _ -> t.stats.aborted <- t.stats.aborted + 1);
-    Chassis.finish t.c txn.life txn outcome ~ver ~eid:0 ~reexecs:0
+    Chassis.finish t.c txn.life txn outcome ~ver ~eid:None ~reexecs:None
   end
 
 (* History label for transactions that install nothing (read-only or
@@ -151,7 +151,7 @@ let do_commit_wait t txn cs =
   let wait =
     max 0 (commit_ts + t.cfg.truetime_eps_us - Sim.Clock.read t.clock)
   in
-  if txn.life.seg = Chassis.Prep then Chassis.switch t.c txn.life ~eid:0 Chassis.Fin;
+  if txn.life.seg = Chassis.Prep then Chassis.switch t.c txn.life ~eid:None Chassis.Fin;
   ignore
     (Engine.schedule t.c.engine ~after:wait (fun () ->
          List.iter
@@ -417,7 +417,7 @@ let commit t ctx cont =
     else begin
       let parts = participants t txn in
       let cs = { cs_groups = parts; cs_max_ts = 0; cs_failed = false } in
-      Chassis.switch t.c txn.life ~eid:0 Chassis.Prep;
+      Chassis.switch t.c txn.life ~eid:None Chassis.Prep;
       txn.commit_state <- Some cs;
       let dedup = Chassis.final_writes txn.writes in
       List.iter

@@ -77,7 +77,7 @@ let finish t txn outcome =
     (match outcome with
      | Outcome.Committed -> t.stats.committed <- t.stats.committed + 1
      | Outcome.Aborted _ -> t.stats.aborted <- t.stats.aborted + 1);
-    Chassis.finish t.c txn.life txn outcome ~ver:(id txn) ~eid:0 ~reexecs:0
+    Chassis.finish t.c txn.life txn outcome ~ver:(id txn) ~eid:None ~reexecs:None
   end
 
 let broadcast_group t g msg = Array.iter (fun dst -> send t dst msg) t.groups.(g)
@@ -127,7 +127,7 @@ let evaluate_group t txn (g : group_state) ~forced =
       (* Slow path: make the majority result durable with one more
          round. *)
       g.g_finalizing <- true;
-      if txn.life.seg = Chassis.Prep then Chassis.switch t.c txn.life ~eid:0 Chassis.Fin;
+      if txn.life.seg = Chassis.Prep then Chassis.switch t.c txn.life ~eid:None Chassis.Fin;
       txn.slow <- true;
       broadcast_group t g.g_index (Msg.Finalize { txn = id txn; vote = Msg.V_commit })
     end
@@ -415,7 +415,7 @@ let commit t ctx cont =
               g_finalizing = false })
           parts
       in
-      Chassis.switch t.c txn.life ~eid:0 Chassis.Prep;
+      Chassis.switch t.c txn.life ~eid:None Chassis.Prep;
       txn.phase <- Committing gs;
       let writes = Chassis.final_writes txn.writes in
       List.iter

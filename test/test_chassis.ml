@@ -112,12 +112,13 @@ let test_segments_sum_to_life () =
   at 7 (fun () ->
       let l = Chassis.begin_ c (Version.make ~ts:7 ~id:0) ~ro:false in
       l.on_outcome <- (fun _ -> incr outcome);
-      at 5 (fun () -> Chassis.switch c l ~eid:0 Chassis.Prep);
-      at 9 (fun () -> Chassis.switch c l ~eid:0 Chassis.Reexec);
-      at 20 (fun () -> Chassis.switch c l ~eid:1 Chassis.Prep);
-      at 24 (fun () -> Chassis.switch c l ~eid:1 Chassis.Fin);
+      at 5 (fun () -> Chassis.switch c l ~eid:(Some 0) Chassis.Prep);
+      at 9 (fun () -> Chassis.switch c l ~eid:(Some 0) Chassis.Reexec);
+      at 20 (fun () -> Chassis.switch c l ~eid:(Some 1) Chassis.Prep);
+      at 24 (fun () -> Chassis.switch c l ~eid:(Some 1) Chassis.Fin);
       at 31 (fun () ->
-          Chassis.finish c l () Outcome.Committed ~ver:l.ver ~eid:1 ~reexecs:1));
+          Chassis.finish c l () Outcome.Committed ~ver:l.ver ~eid:(Some 1)
+            ~reexecs:(Some 1)));
   Sim.Engine.run engine;
   match !record with
   | None -> Alcotest.fail "no history record"

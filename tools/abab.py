@@ -135,16 +135,15 @@ def per_seed(values, seeds, base):
     return [v / level[s] for v, s in zip(values, seeds)]
 
 
-def verdict(base, change, direction, seeds=None):
+def verdict(base, change, direction, seeds):
     """`gain`, `loss` or `none` for one metric's paired samples.
 
-    A side holds when it won at least nine tenths of all pairs (ties
-    count for neither) and the medians differ in its favour by more
-    than the distance between BASE's quartiles.  With `seeds` (the seed
-    of each pair) both series are first divided by BASE's per-seed
-    medians, so the quartiles measure run-to-run noise alone."""
-    if seeds is not None:
-        base, change = per_seed(base, seeds, base), per_seed(change, seeds, base)
+    Both series are first divided by BASE's median for each pair's seed
+    (`seeds` lists them), so the quartiles measure run-to-run noise
+    alone.  A side then holds when it won at least nine tenths of all
+    pairs (ties count for neither) and the medians differ in its favour
+    by more than the distance between BASE's quartiles."""
+    base, change = per_seed(base, seeds, base), per_seed(change, seeds, base)
     n = len(base)
     sign = -1 if direction == "lower" else 1
     won = sum(1 for b, c in zip(base, change) if sign * (c - b) > 0)
